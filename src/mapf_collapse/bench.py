@@ -15,15 +15,9 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import (
-    CapExceededError,
-    ConsistencyError,
-    InfeasibleInputError,
-    InstanceFormatError,
-)
+from .errors import UnsupportedScheduleError
 from .pipeline import OptimizeConfig, optimize_schedule
 from .schedule import agent_density, isr, load_instance
-from .errors import UnsupportedScheduleError
 
 BENCH_COLUMNS = (
     "instance_id",
@@ -84,15 +78,7 @@ def run_one(path: str, config: OptimizeConfig) -> dict:
             optimal=str(stats["optimal"]).lower(),
         )
         row["_elapsed_ms"] = elapsed_ms
-    except (
-        InstanceFormatError,
-        InfeasibleInputError,
-        ConsistencyError,
-        CapExceededError,
-        OSError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except Exception as exc:  # one bad instance must not abort the batch
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 

@@ -129,11 +129,13 @@ def optimize_schedule(
         "aba_removed_moves": aba_removed,
         "ilp_saving": solution.saving,
         "n_actions": len(cands.actions),
-        "n_mutex": len(model.mutex),
+        "n_mutex": model.n_mutex,
         "n_implications": len(model.implications),
         "n_invalid": len(model.fixed_zero),
         "optimal": solution.optimal,
         "nodes_explored": solution.nodes_explored,
+        "n_components": solution.n_components,
+        "n_components_proved": solution.n_components_proved,
         "build_time_ms": solution.build_time * 1000.0,
         "solve_time_ms": solution.solve_time * 1000.0,
         "total_time_ms": total_time * 1000.0,

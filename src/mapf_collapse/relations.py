@@ -1,7 +1,11 @@
 """Derive the constraint system for the collapse selection problem.
 
 From a schedule and its candidate set this module extracts:
-  * within-agent exclusions: same agent, intersecting intervals;
+  * within-agent exclusions: same agent, intersecting intervals. They
+    are kept implicit, as each candidate's (agent, a, b) span: one
+    agent's candidates form an interval graph, so its conflicts are the
+    overlaps of its spans and never need to be listed. overlap_pairs
+    lists them on request, and RelationSet.exclusions_in does so lazily;
   * cross-agent exclusions: same collapse vertex, intersecting intervals;
   * dependencies: a selected collapse parks its agent on x over [a, b],
     so every other agent that visits x in that window must itself be
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .candidates import CandidateSet
 from .errors import ConsistencyError
@@ -114,12 +119,74 @@ class Dependency:
     suitable: tuple[int, ...]
 
 
+Span = tuple[int, int, int]  # (agent, a, b)
+
+
+def overlap_chains(spans: tuple[Span, ...], members) -> list[list[int]]:
+    """Members split into overlap chains, each sorted by (a, b).
+
+    Members are swept in span order, so agent by agent and then by
+    (a, b); a new chain starts with each agent and wherever a span starts
+    after every earlier span of its agent has ended. Each chain is
+    connected by overlaps, and two members overlap only within one
+    chain. Equal spans keep the order in which members are given.
+    """
+    chains: list[list[int]] = []
+    agent = reach = None
+    for i in sorted(members, key=spans.__getitem__):
+        owner, a, b = spans[i]
+        if owner != agent or a > reach:
+            chains.append([i])
+            agent, reach = owner, b
+        else:
+            chains[-1].append(i)
+            if b > reach:
+                reach = b
+    return chains
+
+
+def chain_pairs(spans: tuple[Span, ...], chain: list[int]) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of one chain's members whose spans intersect."""
+    starts = [spans[i][1] for i in chain]
+    pairs = []
+    for pos, i in enumerate(chain):
+        for j in chain[pos + 1 : bisect_right(starts, spans[i][2])]:
+            pairs.append((i, j) if i < j else (j, i))
+    return pairs
+
+
+def overlap_pairs(spans: tuple[Span, ...], members) -> list[tuple[int, int]]:
+    """Sorted pairs (i, j), i < j, of members on one agent whose spans intersect."""
+    pairs: list[tuple[int, int]] = []
+    for chain in overlap_chains(spans, members):
+        pairs.extend(chain_pairs(spans, chain))
+    pairs.sort()
+    return pairs
+
+
+def count_overlaps(spans: tuple[Span, ...], members) -> int:
+    """len(overlap_pairs(spans, members)), with one bisect per span."""
+    total = 0
+    for chain in overlap_chains(spans, members):
+        starts = [spans[i][1] for i in chain]
+        for pos, i in enumerate(chain):
+            total += bisect_right(starts, spans[i][2]) - pos - 1
+    return total
+
+
 @dataclass(frozen=True)
 class RelationSet:
-    exclusions_in: tuple[tuple[int, int], ...]
+    """Constraints of one candidate set; spans[i] is candidate i's (agent, a, b)."""
+
+    spans: tuple[Span, ...]
     exclusions_cross: tuple[tuple[int, int], ...]
     dependencies: tuple[Dependency, ...]
     invalid: tuple[int, ...]
+
+    @cached_property
+    def exclusions_in(self) -> tuple[tuple[int, int], ...]:
+        """Within-agent exclusions as sorted pairs, listed on first access."""
+        return tuple(overlap_pairs(self.spans, range(len(self.spans))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,15 +220,6 @@ def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet
             raise ConsistencyError(f"action {c} outside horizon {T}")
         if schedule.agents[c.agent].path[c.a] != c.x or schedule.agents[c.agent].path[c.b] != c.x:
             raise ConsistencyError(f"action {c} endpoints do not match the schedule")
-
-    exclusions_in: list[tuple[int, int]] = []
-    for indices in candidates.per_agent.values():
-        # indices are sorted by (a, b); sweep by start using bisect on starts
-        starts = [actions[i].a for i in indices]
-        for pos, i in enumerate(indices):
-            hi = bisect_right(starts, actions[i].b)
-            for pos2 in range(pos + 1, hi):
-                exclusions_in.append((i, indices[pos2]))
 
     by_vertex: dict[str, list[int]] = {}
     for idx, c in enumerate(actions):
@@ -202,11 +260,10 @@ def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet
                 break
         dependencies.extend(recorded)
 
-    exclusions_in.sort()
     exclusions_cross.sort()
     dependencies.sort(key=lambda d: (d.action, d.blocker, d.timestep))
     return RelationSet(
-        tuple(exclusions_in),
+        tuple((c.agent, c.a, c.b) for c in actions),
         tuple(exclusions_cross),
         tuple(dependencies),
         tuple(sorted(invalid)),

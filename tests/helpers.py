@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 from mapf_collapse import (
     AgentRecord,
     Graph,
     GridMap,
+    IlpModel,
     PlanRequest,
     Schedule,
     grid_to_graph,
@@ -93,3 +95,41 @@ def random_rollout_instance(
 def positive_exhaustive_count(schedule) -> int:
     cands = generate_candidates(schedule, EXHAUSTIVE)
     return sum(1 for c in cands.actions if c.weight > 0)
+
+
+def eager_exclusions_in(candidates):
+    """Within-agent exclusions listed pair by pair: the reference sweep."""
+    actions = candidates.actions
+    pairs = []
+    for indices in candidates.per_agent.values():
+        # indices are sorted by (a, b); sweep by start using bisect on starts
+        starts = [actions[i].a for i in indices]
+        for pos, i in enumerate(indices):
+            hi = bisect_right(starts, actions[i].b)
+            for pos2 in range(pos + 1, hi):
+                pairs.append((i, indices[pos2]))
+    pairs.sort()
+    return tuple(pairs)
+
+
+def eager_mutex(candidates, relations, fixed_zero):
+    """Every exclusion between two unfixed variables, sorted and deduplicated."""
+    return tuple(
+        sorted(
+            {
+                pair
+                for pair in eager_exclusions_in(candidates) + relations.exclusions_cross
+                if pair[0] not in fixed_zero and pair[1] not in fixed_zero
+            }
+        )
+    )
+
+
+def explicit_model(model, candidates, relations):
+    """The same 0/1 model built by hand, with every mutex pair listed."""
+    return IlpModel(
+        model.weights,
+        eager_mutex(candidates, relations, model.fixed_zero),
+        model.implications,
+        model.fixed_zero,
+    )

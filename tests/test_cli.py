@@ -299,6 +299,21 @@ def test_bench_mixed_invalid_flagged(tmp_path, capsys):
     assert json.loads(out)["errors"] == 1
 
 
+def test_bench_list_valued_vertex_is_one_error_row(tmp_path, capsys):
+    bench_dir = _make_bench_dir(tmp_path, capsys, n=1)
+    (good,) = bench_dir.glob("*.json")
+    data = json.loads(good.read_text())
+    data["agents"][0]["path"][0] = [data["agents"][0]["path"][0]]
+    (bench_dir / "listvertex.json").write_text(json.dumps(data))
+    out_csv = str(tmp_path / "listvertex.csv")
+    code, out = run(capsys, "bench", str(bench_dir), "--out", out_csv, "--mode", "relaxed")
+    assert code == 0
+    rows = read_rows(out_csv)
+    assert len(rows) == 2
+    assert [r["instance_id"] for r in rows if r["error"]] == ["listvertex"]
+    assert json.loads(out)["errors"] == 1
+
+
 def strip_timing_columns(path):
     rows = read_rows(path)
     for r in rows:

@@ -18,10 +18,14 @@ from mapf_collapse import (
 )
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
 from mapf_collapse.ilp import CollapseSolution
+from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
+    eager_exclusions_in,
+    eager_mutex,
+    explicit_model,
     positive_exhaustive_count,
     random_rollout_instance,
     schedule_from_paths,
@@ -234,3 +238,148 @@ def test_exactness_against_oracle_quick():
         assert validate(applied, g, "relaxed").feasible
         assert cost_moves(applied) <= cost_moves(s)
         checked += 1
+
+
+# ------------------------------------------------- span model and components
+
+
+def assert_feasible(model, selected):
+    assert selected.isdisjoint(model.fixed_zero)
+    for a, b in model.mutex:
+        assert not (a in selected and b in selected)
+    for owner, suitable in model.implications:
+        if owner in selected:
+            assert any(s in selected for s in suitable)
+
+
+def one_agent_model(spans, weights):
+    return IlpModel(tuple(weights), (), (), frozenset(), tuple((0, a, b) for a, b in spans))
+
+
+def test_interval_dp_matches_brute_force():
+    rng = random.Random(53)
+    for _ in range(300):
+        k = rng.randint(1, 9)
+        spans = []
+        for _ in range(k):
+            a = rng.randint(0, 8)
+            spans.append((a, a + rng.randint(1, 4)))
+        weights = [rng.randint(1, 6) for _ in range(k)]
+        best = 0
+        for mask in range(1 << k):
+            chosen = [i for i in range(k) if mask >> i & 1]
+            if all(
+                spans[i][1] < spans[j][0] or spans[j][1] < spans[i][0]
+                for p, i in enumerate(chosen)
+                for j in chosen[p + 1 :]
+            ):
+                best = max(best, sum(weights[i] for i in chosen))
+        model = one_agent_model(spans, weights)
+        sol = solve_exact(model, 5.0)
+        assert sol.saving == best and sol.optimal
+        assert sol.n_components == sol.n_components_proved
+        assert_feasible(model, sol.selected)
+
+
+def test_touching_spans_conflict():
+    model = one_agent_model([(0, 2), (2, 4), (5, 6)], [3, 3, 1])
+    assert solve_greedy(model).selected == frozenset({0, 2})
+    sol = solve_exact(model, 5.0)
+    assert sol.saving == 4 and sol.optimal
+    assert sol.n_components == 2
+
+
+def random_models(rng, count):
+    for _ in range(count):
+        s, g, _ = random_rollout_instance(rng, noise=rng.choice([0.3, 0.6]), n_agents=rng.choice([2, 3, 4]))
+        mode = rng.choice([REDUCED, EXHAUSTIVE])
+        cands = generate_candidates(s, mode)
+        rel = build_relations(s, cands)
+        yield s, g, mode, cands, rel, build_model(rel, cands)
+
+
+def test_lazy_pair_lists_match_eager_sweep():
+    rng = random.Random(59)
+    for s, g, mode, cands, rel, model in random_models(rng, 80):
+        reference = eager_mutex(cands, rel, model.fixed_zero)
+        assert model.n_mutex == len(reference)
+        assert "mutex" not in model.__dict__  # counting lists nothing
+        assert rel.exclusions_in == eager_exclusions_in(cands)
+        assert rel.to_json_dict()["mutex_in"] == [list(p) for p in eager_exclusions_in(cands)]
+        assert model.mutex == reference
+        config = OptimizeConfig(mode="relaxed", aba_filter=False, candidates=mode)
+        result = optimize_schedule(s, g, config)
+        assert "mutex" not in result.model.__dict__
+        assert "exclusions_in" not in result.relations.__dict__
+        assert result.stats["n_mutex"] == len(reference)
+
+
+def test_span_model_solves_like_explicit_model():
+    rng = random.Random(61)
+    for s, g, mode, cands, rel, model in random_models(rng, 80):
+        listed = explicit_model(model, cands, rel)
+        assert solve_greedy(model).selected == solve_greedy(listed).selected
+        sol = solve_exact(model, 30.0)
+        ref = solve_exact(listed, 30.0)
+        assert sol.optimal and ref.optimal
+        assert sol.saving == ref.saving
+        assert_feasible(model, sol.selected)
+        applied = apply_solution(s, cands, sol, g, "relaxed")
+        assert cost_moves(applied) == cost_moves(s) - sol.saving
+
+
+def disjoint_copies(model, k):
+    n = model.n_vars
+    agents = 1 + max(agent for agent, _, _ in model.spans)
+    return IlpModel(
+        model.weights * k,
+        tuple((a + c * n, b + c * n) for c in range(k) for a, b in model.explicit_mutex),
+        tuple(
+            (owner + c * n, tuple(x + c * n for x in suitable))
+            for c in range(k)
+            for owner, suitable in model.implications
+        ),
+        frozenset(i + c * n for c in range(k) for i in model.fixed_zero),
+        tuple((agent + c * agents, a, b) for c in range(k) for agent, a, b in model.spans),
+    )
+
+
+def test_disjoint_gadget_copies_are_separate_components():
+    _, _, gadget = gadget_pipeline()
+    for k in (1, 2, 5):
+        model = disjoint_copies(gadget, k)
+        sol = solve_exact(model, 10.0)
+        assert sol.saving == 6 * k and sol.optimal
+        assert sol.n_components == sol.n_components_proved == k
+        assert_feasible(model, sol.selected)
+
+
+def test_pipeline_reports_components():
+    k = 3
+    vs = [f"u{i}" for i in range(2 * k)]
+    red = reduce_independent_set(Graph(vs, [(vs[2 * i], vs[2 * i + 1]) for i in range(k)]), 1)
+    stats = optimize_schedule(red.schedule, red.graph).stats
+    assert stats["saving"] == 6 * k
+    assert stats["n_components"] == stats["n_components_proved"] == k
+
+
+def test_solve_exact_zero_budget_keeps_greedy_and_solves_one_agent_parts():
+    _, _, gadget = gadget_pipeline()
+    copies = disjoint_copies(gadget, 3)
+    n = copies.n_vars
+    agents = 1 + max(agent for agent, _, _ in copies.spans)
+    # one agent whose heaviest span blocks two lighter ones: greedy 3, optimum 4
+    model = IlpModel(
+        copies.weights + (3, 2, 2),
+        copies.explicit_mutex,
+        copies.implications,
+        copies.fixed_zero,
+        copies.spans + ((agents, 0, 4), (agents, 0, 1), (agents, 2, 4)),
+    )
+    greedy = solve_greedy(model)
+    assert greedy.selected & {n, n + 1, n + 2} == {n}
+    sol = solve_exact(model, 0.0)
+    assert_feasible(model, sol.selected)
+    assert sol.saving >= greedy.saving
+    assert sol.selected & {n, n + 1, n + 2} == {n + 1, n + 2}
+    assert sol.n_components == 4 and sol.n_components_proved >= 1
