@@ -11,7 +11,6 @@ planners, and a benchmark harness round out the toolkit.
 from .candidates import (
     CandidateSet,
     CollapseAction,
-    aba_prefilter,
     collapse_paths,
     generate_candidates,
 )
@@ -38,7 +37,7 @@ from .oracle import OracleResult, brute_force_collapse, brute_force_mis
 from .pipeline import OptimizeConfig, OptimizeResult, optimize_schedule
 from .planner import PlanRequest, noisy_rollout, prioritized_plan
 from .reduction import ReductionOutput, reduce_independent_set, verify_roundtrip
-from .relations import IntervalIndex, OccupancyIndex, RelationSet, build_relations, interval_query
+from .relations import RelationSet, build_relations
 from .schedule import (
     AgentRecord,
     CostMetrics,
@@ -73,9 +72,7 @@ __all__ = [
     "InfeasibleInputError",
     "Instance",
     "InstanceFormatError",
-    "IntervalIndex",
     "MapParseError",
-    "OccupancyIndex",
     "OptimizeConfig",
     "OptimizeResult",
     "OracleResult",
@@ -87,7 +84,6 @@ __all__ = [
     "UnknownVertexError",
     "UnsupportedScheduleError",
     "Violation",
-    "aba_prefilter",
     "agent_density",
     "apply_solution",
     "brute_force_collapse",
@@ -100,7 +96,6 @@ __all__ = [
     "cost_moves",
     "generate_candidates",
     "grid_to_graph",
-    "interval_query",
     "isr",
     "load_instance",
     "load_map",

@@ -120,29 +120,20 @@ def collapse_paths(schedule: Schedule, actions) -> Schedule:
     return schedule.with_paths(paths)
 
 
-def aba_prefilter(
+def aba_prefilter_detailed(
     schedule: Schedule,
     graph: Graph,
     max_passes: int = ABA_DEFAULT_MAX_PASSES,
-) -> Schedule:
+) -> tuple[Schedule, int]:
     """Rewrite A,B,A position triples to A,A,A where no collision results.
 
     Scans agents in index order and timesteps ascending, repeating full
     passes until a fixpoint or the pass cap. A rewrite is skipped when
     another agent occupies A at the middle timestep in the current,
     partially rewritten schedule. Rewrites only remove moves, so no edge
-    collision can be introduced.
+    collision can be introduced. Returns the filtered schedule and the
+    number of passes executed (fixpoint pass included).
     """
-    filtered, _ = aba_prefilter_detailed(schedule, graph, max_passes)
-    return filtered
-
-
-def aba_prefilter_detailed(
-    schedule: Schedule,
-    graph: Graph,
-    max_passes: int = ABA_DEFAULT_MAX_PASSES,
-) -> tuple[Schedule, int]:
-    """aba_prefilter plus the number of passes executed (fixpoint pass included)."""
     del graph  # adjacency is implied by the input; kept for interface symmetry
     T = schedule.horizon
     paths = [list(ag.path) for ag in schedule.agents]

@@ -22,8 +22,7 @@ order, y=1 branch first, mutex and implication propagation, warm start
 from the greedy's part of the component. Its admissible bound is the
 sum of undecided weights, tightened per mutex clique (a greedy static
 clique cover; each clique contributes at most its best undecided
-weight). The solver interface is a plain callable (model, time_limit_s)
--> CollapseSolution so an external backend can be swapped in.
+weight).
 """
 
 from __future__ import annotations

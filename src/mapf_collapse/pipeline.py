@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .candidates import (
-    ABA_DEFAULT_MAX_PASSES,
     REDUCED,
     GENERATION_MODES,
     CandidateSet,
@@ -21,7 +20,7 @@ from .candidates import (
     generate_candidates,
 )
 from .errors import InfeasibleInputError
-from .graph import Graph, GridMap
+from .graph import Graph
 from .ilp import (
     CollapseSolution,
     IlpModel,
@@ -41,15 +40,10 @@ class OptimizeConfig:
     aba_filter: bool = True
     candidates: str = REDUCED
     time_limit_ms: int = DEFAULT_TIME_LIMIT_MS
-    aba_max_passes: int = ABA_DEFAULT_MAX_PASSES
-    solver: object = None  # callable (model, time_limit_s) -> CollapseSolution
 
     def __post_init__(self):
         if self.candidates not in GENERATION_MODES:
             raise ValueError(f"candidates must be one of {GENERATION_MODES}")
-
-    def solver_fn(self):
-        return self.solver if self.solver is not None else solve_exact
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,7 +51,6 @@ class OptimizeConfig:
             "aba_filter": self.aba_filter,
             "candidates": self.candidates,
             "time_limit_ms": self.time_limit_ms,
-            "aba_max_passes": self.aba_max_passes,
         }
 
 
@@ -75,7 +68,6 @@ def optimize_schedule(
     schedule: Schedule,
     graph: Graph,
     config: OptimizeConfig = OptimizeConfig(),
-    grid: GridMap | None = None,
 ) -> OptimizeResult:
     """Run the whole collapse pipeline on a feasible schedule.
 
@@ -83,7 +75,6 @@ def optimize_schedule(
     configured mode, and ConsistencyError if the applied selection were
     ever to break feasibility (a bug, not an input problem).
     """
-    del grid  # density metrics are computed by the bench layer
     t_start = time.monotonic()
     report = validate(schedule, graph, config.mode)
     if not report.feasible:
@@ -96,9 +87,7 @@ def optimize_schedule(
     working = schedule
     aba_passes = 0
     if config.aba_filter:
-        working, aba_passes = aba_prefilter_detailed(
-            schedule, graph, config.aba_max_passes
-        )
+        working, aba_passes = aba_prefilter_detailed(schedule, graph)
     aba_removed = cost_before - cost_moves(working)
 
     t_build = time.monotonic()
@@ -107,7 +96,7 @@ def optimize_schedule(
     model = build_model(rel, cands)
     build_time = time.monotonic() - t_build
 
-    solution = config.solver_fn()(model, config.time_limit_ms / 1000.0)
+    solution = solve_exact(model, config.time_limit_ms / 1000.0)
     solution = replace(solution, build_time=build_time)
     final = apply_solution(working, cands, solution, graph, config.mode)
 

@@ -12,103 +12,25 @@ From a schedule and its candidate set this module extracts:
     moved away by one of its own "suitable" collapses;
   * invalid actions: a dependency with no suitable action at all.
 
+Dependencies are found per stay, an agent's maximal constant run
+(first, last) on one vertex, kept sorted per vertex that some candidate
+parks on. A blocker's candidate on another vertex starts and ends on
+that vertex, so if it covers one step of the blocker's stay on x it
+covers the whole stay: the suitable set is the same at every step of a
+stay and is computed once for it.
+
 Interval intersection is inclusive: touching intervals conflict.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .candidates import CandidateSet
+from .candidates import CandidateSet, _runs
 from .errors import ConsistencyError
 from .schedule import Schedule
-
-
-class OccupancyIndex:
-    """Per timestep, which agents stand on which vertex."""
-
-    def __init__(self, schedule: Schedule):
-        T = schedule.horizon
-        self._occ: list[dict[str, tuple[int, ...]]] = []
-        for t in range(T + 1):
-            slot: dict[str, list[int]] = {}
-            for i, ag in enumerate(schedule.agents):
-                slot.setdefault(ag.path[t], []).append(i)
-            self._occ.append({v: tuple(ids) for v, ids in slot.items()})
-
-    def at(self, timestep: int, vertex: str) -> tuple[int, ...]:
-        return self._occ[timestep].get(vertex, ())
-
-
-class _IntervalNode:
-    __slots__ = ("center", "by_start", "by_end", "left", "right")
-
-    def __init__(self, intervals):
-        # intervals: list of (a, b, idx)
-        points = sorted(a for a, _, _ in intervals) + sorted(b for _, b, _ in intervals)
-        self.center = points[len(points) // 2]
-        here, lo, hi = [], [], []
-        for iv in intervals:
-            if iv[1] < self.center:
-                lo.append(iv)
-            elif iv[0] > self.center:
-                hi.append(iv)
-            else:
-                here.append(iv)
-        self.by_start = sorted(here, key=lambda iv: iv[0])
-        self.by_end = sorted(here, key=lambda iv: -iv[1])
-        self.left = _IntervalNode(lo) if lo else None
-        self.right = _IntervalNode(hi) if hi else None
-
-    def stab(self, k: int, out: list[int]) -> None:
-        if k < self.center:
-            for a, _, idx in self.by_start:
-                if a > k:
-                    break
-                out.append(idx)
-            if self.left is not None:
-                self.left.stab(k, out)
-        elif k > self.center:
-            for _, b, idx in self.by_end:
-                if b < k:
-                    break
-                out.append(idx)
-            if self.right is not None:
-                self.right.stab(k, out)
-        else:
-            for _, _, idx in self.by_start:
-                out.append(idx)
-
-
-class IntervalIndex:
-    """Per-agent stabbing index over candidate intervals.
-
-    query(agent, k) returns the agent's action indices with a <= k <= b,
-    sorted; it is defined to agree with a linear scan.
-    """
-
-    def __init__(self, candidates: CandidateSet):
-        self._roots: dict[int, _IntervalNode] = {}
-        for agent, indices in candidates.per_agent.items():
-            ivs = [(candidates.actions[i].a, candidates.actions[i].b, i) for i in indices]
-            if ivs:
-                self._roots[agent] = _IntervalNode(ivs)
-
-    def query(self, agent: int, k: int) -> tuple[int, ...]:
-        root = self._roots.get(agent)
-        if root is None:
-            return ()
-        out: list[int] = []
-        root.stab(k, out)
-        out.sort()
-        return tuple(out)
-
-
-def interval_query(index: IntervalIndex, agent: int, k: int) -> tuple[int, ...]:
-    """All of the agent's candidate actions whose interval contains k."""
-    return index.query(agent, k)
 
 
 @dataclass(frozen=True)
@@ -208,10 +130,11 @@ def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet
     """Extract exclusions, dependencies, and invalid actions.
 
     Candidates must have been generated from this schedule. Dependencies
-    are recorded per (action, blocking agent, timestep); exact duplicates
-    (same action, same suitable set) are merged. An action whose suitable
-    set is empty at some point becomes invalid and its remaining
-    dependency scan is abandoned.
+    are recorded per (action, blocking stay), at the first step the stay
+    shares with [a, b]; stays are scanned in step order, agents in index
+    order, and exact duplicates (same action, same suitable set) are
+    merged. An action whose suitable set is empty for some stay becomes
+    invalid and its remaining dependency scan is abandoned.
     """
     actions = candidates.actions
     T = schedule.horizon
@@ -234,31 +157,51 @@ def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet
                     pair = (group[p], group[q]) if group[p] < group[q] else (group[q], group[p])
                     exclusions_cross.append(pair)
 
-    occ = OccupancyIndex(schedule)
-    idx_by_agent = IntervalIndex(candidates)
+    stays: dict[str, list[tuple[int, int, int]]] = {x: [] for x in by_vertex}
+    for j, ag in enumerate(schedule.agents):
+        for v, first, last in _runs(ag.path):
+            if v in stays:
+                stays[v].append((first, last, j))
+    for vstays in stays.values():
+        vstays.sort()
+    stay_firsts = {x: [first for first, _, _ in vstays] for x, vstays in stays.items()}
+    starts = {j: [actions[s].a for s in own] for j, own in candidates.per_agent.items()}
+    suitable_by_stay: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def suitable_during(j: int, first: int, last: int, x: str) -> tuple[int, ...]:
+        """j's candidates off x that cover its whole stay (first, last) on x."""
+        key = (j, first)
+        found = suitable_by_stay.get(key)
+        if found is None:
+            own = candidates.per_agent.get(j, ())
+            found = tuple(
+                s
+                for s in own[: bisect_left(starts.get(j, ()), first)]
+                if actions[s].b > last and actions[s].x != x
+            )
+            suitable_by_stay[key] = found
+        return found
+
     dependencies: list[Dependency] = []
     invalid: list[int] = []
     for ci, c in enumerate(actions):
+        vstays = stays[c.x]
+        # each blocker stay meeting [a, b], in the order a step-by-step
+        # scan would first reach it: by (step, agent)
+        meeting = sorted(
+            (max(c.a, first), j, first, last)
+            for first, last, j in vstays[: bisect_right(stay_firsts[c.x], c.b)]
+            if last >= c.a and j != c.agent
+        )
         seen_suitable: set[tuple[int, ...]] = set()
-        recorded: list[Dependency] = []
-        bad = False
-        for k in range(c.a, c.b + 1):
-            for j in occ.at(k, c.x):
-                if j == c.agent:
-                    continue
-                suitable = tuple(
-                    s for s in idx_by_agent.query(j, k) if actions[s].x != c.x
-                )
-                if not suitable:
-                    invalid.append(ci)
-                    bad = True
-                    break
-                if suitable not in seen_suitable:
-                    seen_suitable.add(suitable)
-                    recorded.append(Dependency(ci, j, k, suitable))
-            if bad:
+        for k, j, first, last in meeting:
+            suitable = suitable_during(j, first, last, c.x)
+            if not suitable:
+                invalid.append(ci)
                 break
-        dependencies.extend(recorded)
+            if suitable not in seen_suitable:
+                seen_suitable.add(suitable)
+                dependencies.append(Dependency(ci, j, k, suitable))
 
     exclusions_cross.sort()
     dependencies.sort(key=lambda d: (d.action, d.blocker, d.timestep))

@@ -287,6 +287,8 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
     grid = None
     map_name = "graph"
     if isinstance(gspec, dict) and "map_file" in gspec:
+        if not isinstance(gspec["map_file"], str):
+            raise InstanceFormatError(f"map_file must be a string, got {gspec['map_file']!r}")
         path = os.path.join(base_dir, gspec["map_file"])
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -303,17 +305,21 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
         grid = derive_grid(graph)
 
     horizon = data["horizon"]
-    if not isinstance(horizon, int) or horizon < 0:
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
         raise InstanceFormatError(f"horizon must be a non-negative integer, got {horizon!r}")
     agents = []
     if not isinstance(data["agents"], list):
         raise InstanceFormatError("'agents' must be a list")
     for idx, entry in enumerate(data["agents"]):
         try:
-            path = tuple(entry["path"])
-            agents.append(AgentRecord(str(entry["name"]), entry["start"], entry["goal"], path))
+            name, start, goal, path = (entry[key] for key in ("name", "start", "goal", "path"))
         except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"agent #{idx} malformed: {exc}") from exc
+        if not all(isinstance(v, str) for v in (name, start, goal)):
+            raise InstanceFormatError(f"agent #{idx}: name, start and goal must be strings")
+        if not isinstance(path, list) or not all(isinstance(v, str) for v in path):
+            raise InstanceFormatError(f"agent #{idx}: path must be a list of vertex names")
+        agents.append(AgentRecord(name, start, goal, tuple(path)))
         if len(path) != horizon + 1:
             raise InstanceFormatError(
                 f"agent #{idx} path length {len(path)} does not match horizon {horizon}"

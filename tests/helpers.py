@@ -112,6 +112,43 @@ def eager_exclusions_in(candidates):
     return tuple(pairs)
 
 
+def per_step_dependencies(schedule, candidates):
+    """(dependencies, invalid) by the step-by-step scan: the reference.
+
+    For each action, every step k of [a, b] in order, every other agent
+    standing on x at k in index order, and its suitable set found by a
+    linear scan over its candidates. A suitable set already recorded for
+    the action is skipped; an empty one makes the action invalid and
+    ends its scan.
+    """
+    from mapf_collapse.relations import Dependency
+
+    actions = candidates.actions
+    dependencies, invalid = [], []
+    for ci, c in enumerate(actions):
+        seen, bad = set(), False
+        for k in range(c.a, c.b + 1):
+            for j, ag in enumerate(schedule.agents):
+                if j == c.agent or ag.path[k] != c.x:
+                    continue
+                suitable = tuple(
+                    s
+                    for s in candidates.per_agent.get(j, ())
+                    if actions[s].a <= k <= actions[s].b and actions[s].x != c.x
+                )
+                if not suitable:
+                    invalid.append(ci)
+                    bad = True
+                    break
+                if suitable not in seen:
+                    seen.add(suitable)
+                    dependencies.append(Dependency(ci, j, k, suitable))
+            if bad:
+                break
+    dependencies.sort(key=lambda d: (d.action, d.blocker, d.timestep))
+    return tuple(dependencies), tuple(sorted(invalid))
+
+
 def eager_mutex(candidates, relations, fixed_zero):
     """Every exclusion between two unfixed variables, sorted and deduplicated."""
     return tuple(

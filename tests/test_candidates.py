@@ -4,7 +4,6 @@ import pytest
 
 from mapf_collapse import (
     Graph,
-    aba_prefilter,
     cost_moves,
     generate_candidates,
     validate,
@@ -144,7 +143,7 @@ def test_aba_blocked_by_occupant():
     # the blocker passes through A without an ABA pattern of its own
     g = Graph(["A", "B", "C", "D"], [("A", "B"), ("C", "A"), ("A", "D")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
-    filtered = aba_prefilter(s, g)
+    filtered = aba_prefilter_detailed(s, g)[0]
     assert filtered.agents[0].path == ("A", "B", "A")
     assert filtered.agents[1].path == ("C", "A", "D")
 
@@ -153,7 +152,7 @@ def test_aba_rewrite_unblocks_neighbor():
     # removing the second agent's own oscillation frees A for the first
     g = Graph(["A", "B", "C"], [("A", "B"), ("A", "C")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "C"]])
-    filtered = aba_prefilter(s, g)
+    filtered = aba_prefilter_detailed(s, g)[0]
     assert filtered.agents[0].path == ("A", "A", "A")
     assert filtered.agents[1].path == ("C", "C", "C")
 
@@ -161,7 +160,7 @@ def test_aba_rewrite_unblocks_neighbor():
 def test_aba_constant_path_unchanged():
     g = line_ab()
     s = schedule_from_paths([["A", "A", "A"]])
-    assert aba_prefilter(s, g).agents[0].path == ("A", "A", "A")
+    assert aba_prefilter_detailed(s, g)[0].agents[0].path == ("A", "A", "A")
 
 
 def test_aba_respects_pass_cap():
@@ -180,7 +179,7 @@ def test_aba_never_increases_cost_and_stays_valid():
         s, g, _ = random_rollout_instance(rng, noise=0.6)
         report = validate(s, g, "relaxed")
         assert report.feasible
-        filtered = aba_prefilter(s, g)
+        filtered = aba_prefilter_detailed(s, g)[0]
         assert cost_moves(filtered) <= cost_moves(s)
         assert validate(filtered, g, "relaxed").feasible
 
@@ -191,5 +190,5 @@ def test_aba_preserves_strict_feasibility():
         s, g, _ = random_rollout_instance(rng, noise=0.4, horizon=16)
         if not validate(s, g, "strict").feasible:
             continue
-        filtered = aba_prefilter(s, g)
+        filtered = aba_prefilter_detailed(s, g)[0]
         assert validate(filtered, g, "strict").feasible

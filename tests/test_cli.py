@@ -75,6 +75,38 @@ def test_optimize_infeasible_input_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def _edge_instance_json():
+    return {
+        "graph": {"vertices": ["A", "B"], "edges": [["A", "B"]]},
+        "horizon": 1,
+        "agents": [{"name": "a0", "start": "A", "goal": "B", "path": ["A", "B"]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("path", "AB"),
+        ("horizon", True),
+        ("map_file", 5),
+        ("start", ["A"]),
+        ("path", [["A"], "B"]),
+    ],
+)
+def test_optimize_malformed_field_exit_2(tmp_path, capsys, field, value):
+    data = _edge_instance_json()
+    if field == "horizon":
+        data["horizon"] = value
+    elif field == "map_file":
+        data["graph"] = {"map_file": value}
+    else:
+        data["agents"][0][field] = value
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(data))
+    code, _ = run(capsys, "optimize", str(p), "--mode", "relaxed")
+    assert code == 2
+
+
 def test_optimize_idempotent_without_filter(gadget_instance, capsys, tmp_path):
     first = str(tmp_path / "first.json")
     code, out = run(

@@ -64,17 +64,19 @@ def test_stats_deterministic_modulo_timing():
     assert a.schedule == b.schedule
 
 
-def test_custom_solver_hook():
+def test_custom_solver_hook(monkeypatch):
+    from mapf_collapse import pipeline
+    from mapf_collapse.ilp import solve_exact
+
     calls = []
 
     def recording_solver(model, limit):
-        from mapf_collapse.ilp import solve_exact
-
         calls.append(limit)
         return solve_exact(model, limit)
 
+    monkeypatch.setattr(pipeline, "solve_exact", recording_solver)
     red = reduce_independent_set(single_edge_graph(), 1)
-    config = OptimizeConfig(time_limit_ms=1234, solver=recording_solver)
+    config = OptimizeConfig(time_limit_ms=1234)
     result = optimize_schedule(red.schedule, red.graph, config)
     assert calls == [pytest.approx(1.234)]
     assert result.stats["saving"] == 6

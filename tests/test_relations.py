@@ -8,15 +8,18 @@ from mapf_collapse import (
     build_relations,
     cost_moves,
     generate_candidates,
-    interval_query,
     validate,
 )
-from mapf_collapse.candidates import REDUCED, collapse_paths
+from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, collapse_paths
 from mapf_collapse.oracle import brute_force_collapse
-from mapf_collapse.relations import IntervalIndex
 from mapf_collapse.reduction import reduce_independent_set
 
-from helpers import random_rollout_instance, schedule_from_paths, single_edge_graph
+from helpers import (
+    per_step_dependencies,
+    random_rollout_instance,
+    schedule_from_paths,
+    single_edge_graph,
+)
 
 
 def by_tuple(cands):
@@ -88,50 +91,46 @@ def test_relations_reject_foreign_candidates():
         build_relations(s2, cands)
 
 
-# ------------------------------------------------------------ interval index
+# ----------------------------------------------------- per-stay dependency scan
 
 
-def test_interval_query_two_interval_agent():
-    # single agent sweeping an edge-block: reduced actions are [0,4] and [2,6]
-    s = schedule_from_paths([["a", "x1", "b", "c", "a", "x2", "b"]])
+def crowded_schedules():
+    """Reduction gadgets and 8-agent rollouts on 5x5 grids: many blockers."""
+    rng = random.Random(31)
+    out = []
+    for _ in range(20):
+        n = rng.randint(3, 5)
+        names = [f"u{i}" for i in range(n)]
+        pairs = list(itertools.combinations(names, 2))
+        h = Graph(names, rng.sample(pairs, rng.randint(1, min(4, len(pairs)))))
+        out.append(reduce_independent_set(h, rng.randint(1, n)).schedule)
+    for _ in range(50):
+        s, _, _ = random_rollout_instance(
+            rng, height=5, width=5, n_agents=8, horizon=24, noise=rng.choice([0.3, 0.6, 0.9])
+        )
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("mode", [REDUCED, EXHAUSTIVE])
+def test_dependencies_match_per_step_scan(mode):
+    for s in crowded_schedules():
+        cands = generate_candidates(s, mode)
+        rel = build_relations(s, cands)
+        assert (rel.dependencies, rel.invalid) == per_step_dependencies(s, cands)
+
+
+def test_dependency_timestep_is_first_shared_step():
+    # agent 1 waits on A over [1, 3]; agent 0's collapse onto A over
+    # [0, 4] first meets that stay at step 1, and its suitable set is
+    # agent 1's collapse onto C that covers the whole stay
+    s = schedule_from_paths([["A", "B", "B", "B", "A"], ["C", "A", "A", "A", "C"]])
     cands = generate_candidates(s, REDUCED)
-    assert [(c.a, c.b) for c in cands.actions] == [(0, 4), (2, 6)]
-    idx = IntervalIndex(cands)
-    assert interval_query(idx, 0, 3) == (0, 1)
-    assert interval_query(idx, 0, 5) == (1,)
-    assert interval_query(idx, 0, 0) == (0,)
-    assert interval_query(idx, 3, 4) == ()  # agent without actions
-
-
-def test_interval_query_examples():
-    s = schedule_from_paths([["A", "B", "A", "C", "A", "D", "A"]])
-    cands = generate_candidates(s, REDUCED)
-    idx = IntervalIndex(cands)
+    rel = build_relations(s, cands)
     ids = by_tuple(cands)
-    # candidate intervals include [0,2],[0,4],[0,6],[2,4],[2,6],[4,6]
-    got3 = interval_query(idx, 0, 3)
-    assert set(got3) == {
-        i for i, c in enumerate(cands.actions) if c.a <= 3 <= c.b
-    }
-    got5 = interval_query(idx, 0, 5)
-    assert set(got5) == {ids[(0, 0, 6)], ids[(0, 2, 6)], ids[(0, 4, 6)]}
-    assert interval_query(idx, 7, 3) == ()
-
-
-def test_interval_query_matches_linear_scan():
-    rng = random.Random(17)
-    for _ in range(40):
-        s, _, _ = random_rollout_instance(rng, noise=0.7)
-        cands = generate_candidates(s, REDUCED)
-        idx = IntervalIndex(cands)
-        for agent in range(s.n_agents):
-            for k in range(s.horizon + 1):
-                linear = tuple(
-                    i
-                    for i in cands.per_agent.get(agent, ())
-                    if cands.actions[i].a <= k <= cands.actions[i].b
-                )
-                assert interval_query(idx, agent, k) == linear
+    assert [(d.action, d.blocker, d.timestep, d.suitable) for d in rel.dependencies] == [
+        (ids[(0, 0, 4)], 1, 1, (ids[(1, 0, 4)],))
+    ]
 
 
 # ------------------------------------------------- soundness and exactness
