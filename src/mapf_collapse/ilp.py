@@ -13,21 +13,29 @@ cross-agent mutex pairs and implications are explicit.
 solve_exact splits the free variables into independent components
 without listing any pair: a sweep over each agent's sorted spans joins
 overlap chains, and union-find joins the ends of every explicit pair
-and every implication owner with its free members. A component of one
-agent with no explicit pair or implication is weighted interval
-scheduling, solved exactly by dynamic programming. Every other
-component gets a depth-first branch-and-bound over its own variables
-(its within-agent pairs listed by the overlap sweep): weight-descending
-order, y=1 branch first, mutex and implication propagation, warm start
-from the greedy's part of the component. Its admissible bound is the
-sum of undecided weights, tightened per mutex clique (a greedy static
-clique cover; each clique contributes at most its best undecided
-weight).
+and every implication owner with its free members. Each component is
+solved against a relaxation that drops the cross-agent pairs and the
+implications: what is left is one weighted interval scheduling problem
+per agent (Kleinberg & Tardos, Algorithm Design, 6.1), solved exactly
+by dynamic programming, and the sum of those optima bounds the
+component (the Lagrangian bound with all multipliers at zero). A
+component of one agent without explicit constraints is solved by the
+DP alone. A coupled one is proved at the root when its bound equals the
+greedy's part of it or its relaxed optimum is feasible; otherwise a
+presolve fixes to zero every variable that a same-agent, same-weight
+variable with a strictly nested span dominates, and a depth-first
+search on an explicit stack runs. Each node recomputes the DP of the
+agents whose variables changed, is pruned when the bound does not beat
+the incumbent, and is closed when the relaxed optimum violates no pair
+and no implication. Otherwise it branches, 1 first, on the first
+violated constraint: on the heavier end of a cross-agent pair, or on
+the owner of an unmet implication (once the owner is 1, on its
+heaviest undecided suitable member). Same-agent exclusions propagate
+by bisecting the agent's spans sorted by end.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -36,7 +44,7 @@ from functools import cached_property
 from .candidates import CandidateSet, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
-from .relations import RelationSet, Span, chain_pairs, count_overlaps, overlap_chains, overlap_pairs
+from .relations import RelationSet, Span, count_overlaps, overlap_chains, overlap_pairs
 from .schedule import Schedule, cost_moves, validate
 
 
@@ -89,6 +97,24 @@ class IlpModel:
         """len(self.mutex), counted without listing the pairs."""
         return count_overlaps(self.spans, self.free()) + len(self.explicit_mutex)
 
+    @cached_property
+    def links(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+        """(partners, owned, member_of) per variable: its explicit mutex
+        partners, and the indices into implications that it owns and that
+        list it as suitable. Built once and only read by the solvers."""
+        n = self.n_vars
+        partners: list[list[int]] = [[] for _ in range(n)]
+        for a, b in self.explicit_mutex:
+            partners[a].append(b)
+            partners[b].append(a)
+        owned: list[list[int]] = [[] for _ in range(n)]
+        member_of: list[list[int]] = [[] for _ in range(n)]
+        for imp, (owner, suitable) in enumerate(self.implications):
+            owned[owner].append(imp)
+            for s in suitable:
+                member_of[s].append(imp)
+        return partners, owned, member_of
+
 
 @dataclass(frozen=True)
 class CollapseSolution:
@@ -100,6 +126,7 @@ class CollapseSolution:
     solve_time: float = 0.0
     n_components: int = 0
     n_components_proved: int = 0
+    upper_bound: int = 0  # no selection saves more; equals saving iff optimal
 
 
 def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
@@ -127,46 +154,6 @@ def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
     return IlpModel(weights, cross, implications, frozenset(fixed), relations.spans)
 
 
-UNDEC, ZERO, ONE = -1, 0, 1
-
-
-class _Search:
-    """Adjacency and state arrays over all variables and implications.
-
-    solve_exact shares one instance between the searches of all coupled
-    components; they are disjoint, so each search reads and writes only
-    its own entries.
-    """
-
-    def __init__(self, model: IlpModel):
-        n = model.n_vars
-        self.weights = model.weights
-        # explicit partners; a component's within-agent pairs join its
-        # entries when that component is searched
-        self.mutex_adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in model.explicit_mutex:
-            self.mutex_adj[a].append(b)
-            self.mutex_adj[b].append(a)
-        self.imp_owner: list[int] = []
-        self.imp_members: list[tuple[int, ...]] = []
-        self.imps_of_owner: list[list[int]] = [[] for _ in range(n)]
-        self.member_imps: list[list[int]] = [[] for _ in range(n)]
-        for owner, suitable in model.implications:
-            imp_id = len(self.imp_owner)
-            self.imp_owner.append(owner)
-            self.imp_members.append(suitable)
-            self.imps_of_owner[owner].append(imp_id)
-            for s in suitable:
-                self.member_imps[s].append(imp_id)
-        self.val = [UNDEC] * n
-        for i in model.fixed_zero:
-            self.val[i] = ZERO
-        # live[imp] = number of members that could still be 1 (undecided or 1)
-        self.live = [
-            sum(1 for s in suitable if s not in model.fixed_zero) for suitable in self.imp_members
-        ]
-
-
 def solve_greedy(model: IlpModel) -> CollapseSolution:
     """Weight-descending greedy with implication closure.
 
@@ -177,10 +164,9 @@ def solve_greedy(model: IlpModel) -> CollapseSolution:
     selection is found by bisecting that agent's selected spans.
     """
     t0 = time.monotonic()
-    weights, spans, fixed = model.weights, model.spans, model.fixed_zero
+    weights, spans, fixed, implications = model.weights, model.spans, model.fixed_zero, model.implications
     order = sorted(model.free(), key=lambda i: (-weights[i], i))
-    links = _Search(model)
-    partners, imp_members, imps_of_owner = links.mutex_adj, links.imp_members, links.imps_of_owner
+    partners, owned, _ = model.links
 
     selected: set[int] = set()
     # agent -> (starts, ends) of its selected spans; they are disjoint,
@@ -212,8 +198,8 @@ def solve_greedy(model: IlpModel) -> CollapseSolution:
             cur = queue.pop(0)
             if clashes(cur, group):
                 return None
-            for imp_id in imps_of_owner[cur]:
-                suitable = imp_members[imp_id]
+            for imp in owned[cur]:
+                suitable = implications[imp][1]
                 if any(s in selected or s in group for s in suitable):
                     continue
                 pick = None
@@ -249,11 +235,12 @@ def solve_greedy(model: IlpModel) -> CollapseSolution:
         optimal=saving == upper,
         nodes_explored=0,
         solve_time=time.monotonic() - t0,
+        upper_bound=upper,
     )
 
 
-def _components(model: IlpModel) -> list[tuple[list[int], list[list[int]], bool]]:
-    """Independent components of the free variables: (members, chains, coupled).
+def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
+    """Independent components of the free variables: (members, coupled).
 
     Overlap chains come from one sweep over the sorted spans; union-find
     then joins the chains of every explicit pair and of every
@@ -294,178 +281,179 @@ def _components(model: IlpModel) -> list[tuple[list[int], list[list[int]], bool]
     members: dict[int, list[int]] = {}
     for v in free:
         members.setdefault(find(chain_of[v]), []).append(v)
-    chains_of: dict[int, list[list[int]]] = {}
-    for c, chain in enumerate(chains):
-        chains_of.setdefault(find(c), []).append(chain)
     coupled_roots = {find(c) for c in coupled}
     order = sorted(members, key=lambda root: (len(members[root]), members[root][0]))
-    return [(members[root], chains_of[root], root in coupled_roots) for root in order]
+    return [(members[root], root in coupled_roots) for root in order]
 
 
-def _interval_dp(model: IlpModel, comp: list[int]) -> list[int]:
-    """Heaviest set of pairwise disjoint spans (weighted interval scheduling).
+UNDEC, ZERO, ONE = -1, 0, 1
+FEASIBLE, PRUNED, REVISED = -1, -2, -3  # violation() results that name no variable
 
-    Touching spans conflict, so span j may follow span i only when
-    b_i < a_j. O(k log k) in the component size k.
+
+class _Agent:
+    """One agent's variables in a component: its interval DP and the
+    lookup of its overlapping spans."""
+
+    def __init__(self, members: list[int], model: IlpModel):
+        spans = model.spans
+        self.spans = spans
+        self.items = sorted(members, key=lambda i: (spans[i][2], spans[i][1], i))
+        self.weights = [model.weights[i] for i in self.items]
+        self.ends = [spans[i][2] for i in self.items]
+        # before[p]: how many items end before items[p] starts
+        self.before = [bisect_left(self.ends, spans[i][1]) for i in self.items]
+        self.longest = max(spans[i][2] - spans[i][1] for i in members)
+
+    def solve(self, val: list[int]) -> tuple[int, list[int]]:
+        """Heaviest set of pairwise disjoint spans among the items not
+        fixed to 0 (weighted interval scheduling, O(k)); it holds every
+        item fixed to 1, whose overlaps are all fixed to 0 already.
+
+        Touching spans conflict, so item q may follow item p only when
+        b_p < a_q.
+        """
+        items, weights, before = self.items, self.weights, self.before
+        best = [0]
+        for p, i in enumerate(items):
+            keep = best[p]
+            if val[i] != ZERO:
+                take = weights[p] + best[before[p]]
+                if take > keep:
+                    keep = take
+            best.append(keep)
+        chosen = []
+        p = len(items)
+        while p:
+            i = items[p - 1]
+            if val[i] == ONE or (val[i] == UNDEC and weights[p - 1] + best[before[p - 1]] > best[p - 1]):
+                chosen.append(i)
+                p = before[p - 1]
+            else:
+                p -= 1
+        return best[-1], chosen
+
+    def overlapping(self, v: int) -> list[int]:
+        """The other items whose spans intersect v's: they end in
+        [a_v, b_v + longest] and start by b_v."""
+        spans = self.spans
+        _, a, b = spans[v]
+        window = self.items[bisect_left(self.ends, a) : bisect_right(self.ends, b + self.longest)]
+        return [u for u in window if u != v and spans[u][1] <= b]
+
+
+def _dominated(model: IlpModel, comp: list[int]) -> list[int]:
+    """Variables of comp that a free variable renders pointless.
+
+    j dominates i when both have one agent and one weight, j's span is
+    strictly nested in i's, j's cross partners and owned suitable sets
+    are among i's, and j is suitable wherever i is: swapping i for j in
+    any feasible selection stays feasible and saves the same. Run-
+    endpoint candidates over long constant runs produce exactly such
+    variables; without this the search re-proves the same subtree once
+    per variant. Strict nesting orders dominance, so fixing every
+    dominated variable at once keeps an optimum.
     """
-    weights, spans = model.weights, model.spans
-    items = sorted(comp, key=lambda i: (spans[i][2], spans[i][1], i))
-    ends = [spans[i][2] for i in items]
-    before = [bisect_left(ends, spans[i][1]) for i in items]
-    best = [0]
-    for k, i in enumerate(items):
-        best.append(max(best[k], weights[i] + best[before[k]]))
-    chosen = []
-    k = len(items)
-    while k:
-        i = items[k - 1]
-        if weights[i] + best[before[k - 1]] > best[k - 1]:
-            chosen.append(i)
-            k = before[k - 1]
-        else:
-            k -= 1
-    return chosen
-
-
-class _TimeUp(Exception):
-    pass
-
-
-def _presolve_dominated(search: _Search, free: list[int]) -> set[int]:
-    """Fix variables that a mutex partner renders pointless.
-
-    i can be fixed to zero when some free partner j has w_j >= w_i,
-    conflicts with nothing i does not conflict with, owns no implication
-    i does not own, and can serve as a suitable action anywhere i can:
-    swapping i for j in any feasible selection stays feasible and never
-    loses saving. Run-endpoint candidates over a long constant run
-    produce exactly such interchangeable variables; without this step
-    the search re-proves the same subtree once per duplicate.
-    """
-    weights = search.weights
-    free_set = set(free)
-    madj: dict[int, set[int]] = {v: set() for v in free}
-    owner_sets: dict[int, set[frozenset[int]]] = {v: set() for v in free}
-    member_sets = {v: set(search.member_imps[v]) for v in free}
-    for v in free:
-        for u in search.mutex_adj[v]:
-            if u in free_set:
-                madj[v].add(u)
-        for imp_id in search.imps_of_owner[v]:
-            owner_sets[v].add(frozenset(search.imp_members[imp_id]))
-
-    fixed: set[int] = set()
+    weights, spans, implications = model.weights, model.spans, model.implications
+    partners, owned, member_of = model.links
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in comp:
+        groups.setdefault((spans[v][0], weights[v]), []).append(v)
 
     def dominates(j: int, i: int) -> bool:
-        if weights[j] < weights[i]:
-            return False
-        if len(madj[j]) - (i in madj[j]) > len(madj[i]):
-            return False
-        if len(owner_sets[j]) > len(owner_sets[i]) or len(member_sets[i]) > len(member_sets[j]):
-            return False
-        if not (madj[j] - {i}) <= madj[i]:
-            return False
-        if not owner_sets[j] <= owner_sets[i]:
-            return False
-        return member_sets[i] <= member_sets[j]
+        return (
+            set(partners[j]) <= set(partners[i])
+            and {implications[imp][1] for imp in owned[j]} <= {implications[imp][1] for imp in owned[i]}
+            and set(member_of[i]) <= set(member_of[j])
+        )
 
-    pairs = sorted((a, b) for a, partners in madj.items() for b in partners if a < b)
-    for a, b in pairs:
-        if a in fixed or b in fixed:
+    fixed = []
+    for group in groups.values():
+        if len(group) < 2:
             continue
-        if dominates(a, b):
-            fixed.add(b)
-        elif dominates(b, a):
-            fixed.add(a)
+        group.sort(key=lambda i: (spans[i][1], spans[i][2], i))
+        starts = [spans[i][1] for i in group]
+        for i in group:
+            _, a, b = spans[i]
+            for j in group[bisect_left(starts, a) : bisect_right(starts, b)]:
+                if spans[j][2] <= b and spans[j][1:] != (a, b) and dominates(j, i):
+                    fixed.append(i)
+                    break
     return fixed
 
 
-def _clique_cover(free: list[int], mutex_adj: list[list[int]]) -> tuple[list[list[int]], dict[int, int]]:
-    """Greedy partition of free variables into mutex cliques.
-
-    Each clique admits at most one selected action, so during search it
-    contributes at most its best undecided weight to the bound. A
-    variable joins the lowest-index clique all of whose members are
-    mutex partners, found by counting partner occurrences per clique
-    (linear in the mutex degree instead of quadratic in clique count).
-    """
-    free_set = set(free)
-    cliques: list[list[int]] = []
-    clique_of: dict[int, int] = {}
-    for v in free:
-        counts: dict[int, int] = {}
-        for u in mutex_adj[v]:
-            if u in free_set and u in clique_of:
-                ci = clique_of[u]
-                counts[ci] = counts.get(ci, 0) + 1
-        chosen = -1
-        for ci in sorted(counts):
-            if counts[ci] == len(cliques[ci]):
-                chosen = ci
-                break
-        if chosen < 0:
-            chosen = len(cliques)
-            cliques.append([])
-        cliques[chosen].append(v)
-        clique_of[v] = chosen
-    return cliques, clique_of
-
-
-def _branch_and_bound(
+def _solve_component(
     model: IlpModel,
-    search: _Search,
     comp: list[int],
-    chains: list[list[int]],
     warm: list[int],
+    val: list[int],
     deadline: float | None,
-) -> tuple[list[int], bool, int]:
-    """Exact search on one coupled component: (selected, completed, nodes).
+) -> tuple[list[int], bool, int, int]:
+    """Exact search on one component: (selected, proved, nodes, bound).
 
-    The component's within-agent pairs are listed here, chain by chain,
-    and nowhere else on the solve path.
+    bound is the proved optimum, or the root relaxation's value when the
+    deadline cut the search. val holds every variable's state; it is
+    shared between the disjoint components of one solve.
+
+    Fixing a variable to 1 fixes its partners and same-agent overlaps
+    to 0; per implication it owns, a single member not fixed to 0 is
+    fixed to 1, and none is a contradiction. Fixing to 0 propagates
+    nothing: a member set may hold hundreds of variables, each listed in
+    hundreds of sets. Implications are checked where the bound needs
+    them, on the relaxed optimum: an undecided owner found there with no
+    member left is fixed to 0 and the node relaxed again, and an owner
+    at 1 with none left ends the node.
     """
-    weights, mutex_adj, val, live = search.weights, search.mutex_adj, search.val, search.live
-    imp_owner, imps_of_owner, member_imps = search.imp_owner, search.imps_of_owner, search.member_imps
-    for chain in chains:
-        for i, j in chain_pairs(model.spans, chain):
-            mutex_adj[i].append(j)
-            mutex_adj[j].append(i)
-    free = sorted(comp, key=lambda i: (-weights[i], i))
-    dominated = _presolve_dominated(search, free)
-    free = [v for v in free if v not in dominated]
-    for v in dominated:
-        val[v] = ZERO
-        for imp_id in member_imps[v]:
-            live[imp_id] -= 1
+    weights, spans, implications = model.weights, model.spans, model.implications
+    partners, owned, _ = model.links
+    by_agent: dict[int, list[int]] = {}
+    for v in comp:
+        by_agent.setdefault(spans[v][0], []).append(v)
+    agents = {agent: _Agent(members, model) for agent, members in by_agent.items()}
 
-    raw_cliques, clique_of = _clique_cover(free, mutex_adj)
-    cliques = [sorted(c, key=lambda i: (-weights[i], i)) for c in raw_cliques]
-
+    # relax() keeps each agent's DP result in cache and recomputes the
+    # agents in dirty; undo() restores the results saved before a change
+    cache: dict[int, tuple[int, list[int]]] = {agent: (0, []) for agent in agents}
+    dirty = set(agents)
+    saved: list[tuple[int, tuple[int, list[int]]]] = []
     trail: list[int] = []
-    one_weight = 0
-    undec_weight = sum(weights[v] for v in free)
-    nodes = 0
-    best_selected = warm
-    best_saving = sum(weights[v] for v in warm)
+    total = 0
 
-    # clique_contrib[ci] caches each clique's bound contribution (its best
-    # undecided weight, or 0 once a member is selected); cliques whose
-    # members changed since the last bound() call sit in dirty_cliques.
-    def clique_value(ci: int) -> int:
-        best_undec = 0
-        for v in cliques[ci]:
-            if val[v] == ONE:
-                return 0
-            if val[v] == UNDEC and best_undec == 0:
-                best_undec = weights[v]
-        return best_undec
+    def relax() -> int:
+        nonlocal total
+        for agent in dirty:
+            old = cache[agent]
+            saved.append((agent, old))
+            fresh = agents[agent].solve(val)
+            total += fresh[0] - old[0]
+            cache[agent] = fresh
+        dirty.clear()
+        return total
 
-    clique_contrib = [clique_value(ci) for ci in range(len(cliques))]
-    clique_sum = sum(clique_contrib)
-    dirty_cliques: set[int] = set()
+    def violation(selection: list[int]) -> int:
+        """The variable to branch on for the first violated constraint,
+        FEASIBLE if there is none, PRUNED if the node has no solution, or
+        REVISED after fixing an owner to 0."""
+        chosen = set(selection)
+        for v in selection:
+            if not chosen.isdisjoint(partners[v]):
+                # both ends undecided: a 1 would have fixed the other to 0
+                u = next(u for u in partners[v] if u in chosen)
+                return v if (weights[v], -v) >= (weights[u], -u) else u
+            for imp in owned[v]:
+                suitable = implications[imp][1]
+                if chosen.isdisjoint(suitable):
+                    if val[v] == ONE:
+                        undecided = [s for s in suitable if val[s] == UNDEC]
+                        if not undecided:
+                            return PRUNED
+                        return max(undecided, key=lambda s: (weights[s], -s))
+                    if all(val[s] == ZERO for s in suitable):
+                        assign(v, ZERO)  # fixing to 0 cannot fail
+                        return REVISED
+                    return v
+        return FEASIBLE
 
     def assign(var: int, x: int) -> bool:
-        nonlocal one_weight, undec_weight
         queue = [(var, x)]
         while queue:
             v, want = queue.pop()
@@ -476,144 +464,125 @@ def _branch_and_bound(
                 continue
             val[v] = want
             trail.append(v)
-            undec_weight -= weights[v]
-            dirty_cliques.add(clique_of[v])
+            agent = spans[v][0]
+            dirty.add(agent)
             if want == ONE:
-                one_weight += weights[v]
-                for u in mutex_adj[v]:
+                for u in partners[v] + agents[agent].overlapping(v):
                     if val[u] == ONE:
                         return False
                     if val[u] == UNDEC:
                         queue.append((u, ZERO))
-                for imp_id in imps_of_owner[v]:
-                    if live[imp_id] == 0:
+                for imp in owned[v]:
+                    members = [s for s in implications[imp][1] if val[s] != ZERO]
+                    if not members:
                         return False
-            else:
-                for imp_id in member_imps[v]:
-                    live[imp_id] -= 1
-                conflict = False
-                for imp_id in member_imps[v]:
-                    if live[imp_id] == 0:
-                        owner = imp_owner[imp_id]
-                        if val[owner] == ONE:
-                            conflict = True
-                        elif val[owner] == UNDEC:
-                            queue.append((owner, ZERO))
-                if conflict:
-                    return False
+                    if len(members) == 1:
+                        queue.append((members[0], ONE))
         return True
 
-    def undo(mark: int) -> None:
-        nonlocal one_weight, undec_weight
+    def undo(mark: int, saved_mark: int) -> None:
+        nonlocal total
         while len(trail) > mark:
-            v = trail.pop()
-            if val[v] == ONE:
-                one_weight -= weights[v]
-            else:
-                for imp_id in member_imps[v]:
-                    live[imp_id] += 1
-            val[v] = UNDEC
-            undec_weight += weights[v]
-            dirty_cliques.add(clique_of[v])
+            val[trail.pop()] = UNDEC
+        while len(saved) > saved_mark:
+            agent, old = saved.pop()
+            total += old[0] - cache[agent][0]
+            cache[agent] = old
+        dirty.clear()
 
-    def bound() -> int:
-        nonlocal clique_sum
-        if dirty_cliques:
-            delta = 0
-            for ci in dirty_cliques:
-                fresh = clique_value(ci)
-                delta += fresh - clique_contrib[ci]
-                clique_contrib[ci] = fresh
-            clique_sum += delta
-            dirty_cliques.clear()
-        return one_weight + clique_sum
+    def evaluate() -> tuple[int, list[int], int]:
+        """(bound, relaxed optimum, violation result) of the current node."""
+        while True:
+            bound = relax()
+            if bound <= best_saving:
+                return bound, [], PRUNED
+            relaxed = [v for agent in agents for v in cache[agent][1]]
+            branch = violation(relaxed)
+            if branch != REVISED:
+                return bound, relaxed, branch
 
-    def dfs(ptr: int) -> None:
-        nonlocal best_saving, best_selected, nodes
-        nodes += 1
-        if deadline is not None and nodes % 128 == 0 and time.monotonic() > deadline:
-            raise _TimeUp
-        # additive bound is free and dominates the clique bound
-        if one_weight + undec_weight > best_saving:
-            if bound() <= best_saving:
-                return
-        else:
-            return
-        while ptr < len(free) and val[free[ptr]] != UNDEC:
-            ptr += 1
-        if ptr == len(free):
-            saving = one_weight
-            if saving > best_saving:
-                best_saving = saving
-                best_selected = [v for v in free if val[v] == ONE]
-            return
-        v = free[ptr]
-        mark = len(trail)
-        if assign(v, ONE):
-            dfs(ptr + 1)
-        undo(mark)
-        if assign(v, ZERO):
-            dfs(ptr + 1)
-        undo(mark)
+    best = warm
+    best_saving = sum(weights[v] for v in warm)
+    root_bound, relaxed, branch = evaluate()
+    if branch == PRUNED:  # nothing is 1 at the root: the bound fell to the incumbent
+        return best, True, 1, best_saving
+    if branch == FEASIBLE:
+        return relaxed, True, 1, root_bound
+    if deadline is not None and time.monotonic() > deadline:
+        return best, False, 1, root_bound
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * len(free) + 1000))
+    for v in _dominated(model, comp):
+        assign(v, ZERO)
+    nodes = 1
+    frames: list[tuple[int, int, int]] = []  # (variable, trail mark, saved mark) of each open 0-branch
+    consistent = True
     completed = True
-    try:
-        dfs(0)
-    except _TimeUp:
-        completed = False
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return best_selected, completed, nodes
+    while True:
+        if consistent:
+            nodes += 1
+            if deadline is not None and time.monotonic() > deadline:
+                completed = False
+                break
+            bound, relaxed, branch = evaluate()
+            if branch == FEASIBLE:
+                best, best_saving = relaxed, bound
+            elif branch != PRUNED:
+                frames.append((branch, len(trail), len(saved)))
+                consistent = assign(branch, ONE)
+                continue
+        if not frames:
+            break
+        branch, mark, saved_mark = frames.pop()
+        undo(mark, saved_mark)
+        consistent = assign(branch, ZERO)
+    proved = completed or best_saving == root_bound
+    return best, proved, nodes, best_saving if proved else root_bound
 
 
 def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolution:
     """Exact solve, component by component; anytime under a time limit.
 
-    One greedy pass gives every coupled component its warm start. The
+    One greedy pass gives every coupled component its incumbent. The
     components run in (size, smallest variable) order under one shared
-    deadline; once it has passed, each remaining coupled component keeps
-    its greedy part, while one-agent components are still solved by the
-    interval DP. optimal is True iff every component was proved.
+    deadline; once it has passed, each remaining coupled component gets
+    only the root check, which proves it when its relaxation is feasible
+    or no better than the greedy's part, and keeps the greedy's part
+    otherwise. optimal is True iff every component was proved;
+    upper_bound adds up each component's proved optimum or root bound.
     Deterministic: fixed component and variable order, first-found
     tie-breaking.
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     greedy = solve_greedy(model)
-    weights = model.weights
+    val = [UNDEC] * model.n_vars
+    for i in model.fixed_zero:
+        val[i] = ZERO
     comps = _components(model)
-    search = _Search(model)
 
     selected: list[int] = []
-    nodes = 0
-    proved = 0
-    for comp, chains, coupled in comps:
-        if not coupled:
-            selected.extend(_interval_dp(model, comp))
-            proved += 1
-            continue
-        warm = [v for v in comp if v in greedy.selected]
-        if deadline is not None and time.monotonic() > deadline:
-            chosen = warm
-            completed = sum(weights[v] for v in warm) == sum(weights[v] for v in comp)
+    nodes = proved = upper_bound = 0
+    for comp, coupled in comps:
+        if coupled:
+            warm = [v for v in comp if v in greedy.selected]
+            chosen, done, explored, bound = _solve_component(model, comp, warm, val, deadline)
         else:
-            chosen, completed, explored = _branch_and_bound(
-                model, search, comp, chains, warm, deadline
-            )
-            nodes += explored
+            bound, chosen = _Agent(comp, model).solve(val)
+            done, explored = True, 0
         selected.extend(chosen)
-        proved += completed
+        nodes += explored
+        proved += done
+        upper_bound += bound
 
     return CollapseSolution(
         frozenset(selected),
-        sum(weights[v] for v in selected),
+        sum(model.weights[v] for v in selected),
         optimal=proved == len(comps),
         nodes_explored=nodes,
         solve_time=time.monotonic() - t0,
         n_components=len(comps),
         n_components_proved=proved,
+        upper_bound=upper_bound,
     )
 
 

@@ -125,6 +125,8 @@ def optimize_schedule(
         "nodes_explored": solution.nodes_explored,
         "n_components": solution.n_components,
         "n_components_proved": solution.n_components_proved,
+        "upper_bound": aba_removed + solution.upper_bound,
+        "gap": solution.upper_bound - solution.saving,
         "build_time_ms": solution.build_time * 1000.0,
         "solve_time_ms": solution.solve_time * 1000.0,
         "total_time_ms": total_time * 1000.0,

@@ -170,3 +170,18 @@ def explicit_model(model, candidates, relations):
         model.implications,
         model.fixed_zero,
     )
+
+
+def brute_force_model(model):
+    """Best saving over every subset of a small model's free variables
+    that meets all its mutexes and implications: the reference."""
+    free = model.free()
+    best = 0
+    for mask in range(1 << len(free)):
+        chosen = {v for k, v in enumerate(free) if mask >> k & 1}
+        if any(a in chosen and b in chosen for a, b in model.mutex):
+            continue
+        if any(owner in chosen and chosen.isdisjoint(suitable) for owner, suitable in model.implications):
+            continue
+        best = max(best, sum(model.weights[v] for v in chosen))
+    return best

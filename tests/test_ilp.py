@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,12 +19,13 @@ from mapf_collapse import (
     validate,
 )
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
-from mapf_collapse.ilp import CollapseSolution
+from mapf_collapse.ilp import CollapseSolution, _Agent, _dominated
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
+    brute_force_model,
     eager_exclusions_in,
     eager_mutex,
     explicit_model,
@@ -150,8 +153,9 @@ def test_solve_greedy_unsatisfiable_dependency():
     )
     sol = solve_greedy(model)
     assert sol.saving == 0 and sol.selected == frozenset()
+    assert sol.upper_bound == 3 and not sol.optimal
     exact = solve_exact(model, 5.0)
-    assert exact.saving == 0 and exact.optimal
+    assert exact.saving == 0 and exact.optimal and exact.upper_bound == 0
 
 
 def test_solve_greedy_unconstrained_takes_everything():
@@ -237,6 +241,23 @@ def test_exactness_against_oracle_quick():
         applied = apply_solution(s, cands, sol, g, "relaxed")
         assert validate(applied, g, "relaxed").feasible
         assert cost_moves(applied) <= cost_moves(s)
+        checked += 1
+
+
+def test_upper_bound_brackets_oracle():
+    rng = random.Random(43)
+    checked = 0
+    while checked < 60:
+        s, g, _ = random_rollout_instance(rng, n_agents=rng.choice([3, 4]), noise=rng.choice([0.5, 0.8]))
+        if positive_exhaustive_count(s) > 20:
+            continue
+        oracle = brute_force_collapse(s, g, "relaxed", cap=20).best_saving
+        for limit_ms in (0, 30000):
+            config = OptimizeConfig(mode="relaxed", aba_filter=False, time_limit_ms=limit_ms)
+            stats = optimize_schedule(s, g, config).stats
+            assert stats["saving"] <= oracle <= stats["upper_bound"]
+            assert stats["gap"] == stats["upper_bound"] - stats["saving"]
+            assert (stats["gap"] == 0) == stats["optimal"]
         checked += 1
 
 
@@ -383,3 +404,112 @@ def test_solve_exact_zero_budget_keeps_greedy_and_solves_one_agent_parts():
     assert sol.saving >= greedy.saving
     assert sol.selected & {n, n + 1, n + 2} == {n + 1, n + 2}
     assert sol.n_components == 4 and sol.n_components_proved >= 1
+
+
+# ------------------------------------------------------ relaxation search
+
+
+def two_agent_model(weights, cross, implications, spans):
+    return IlpModel(tuple(weights), tuple(cross), tuple(implications), frozenset(), tuple(spans))
+
+
+def cross_pair_model():
+    # each agent's DP takes its long span (6 and 5), but the two are mutex
+    return two_agent_model(
+        [6, 4, 1, 5, 3, 1],
+        [(0, 3)],
+        [],
+        [(0, 0, 4), (0, 0, 1), (0, 3, 4), (1, 0, 4), (1, 0, 1), (1, 3, 4)],
+    )
+
+
+def implication_model():
+    # agent 0's DP takes 0, which needs 2; agent 1's DP takes 1 instead
+    return two_agent_model([4, 3, 1], [], [(0, (2,))], [(0, 0, 2), (1, 0, 3), (1, 1, 2)])
+
+
+@pytest.mark.parametrize("build", [cross_pair_model, implication_model])
+def test_relaxation_search_branches_on_violated_constraint(build):
+    model = build()
+    sol = solve_exact(model, 5.0)
+    assert sol.saving == brute_force_model(model) and sol.optimal
+    assert sol.upper_bound == sol.saving
+    assert sol.nodes_explored > 1  # the root relaxation was infeasible
+    assert_feasible(model, sol.selected)
+    capped = solve_exact(model, 0.0)  # root check only
+    assert not capped.optimal and capped.saving == solve_greedy(model).saving
+    assert capped.upper_bound > sol.saving
+
+
+def test_agent_overlapping_matches_scan():
+    rng = random.Random(67)
+    for _ in range(100):
+        spans = []
+        for _ in range(rng.randint(1, 12)):
+            a = rng.randint(0, 20)
+            spans.append((a, a + rng.randint(1, 8)))
+        model = one_agent_model(spans, [1] * len(spans))
+        agent = _Agent(list(range(len(spans))), model)
+        for v, (a, b) in enumerate(spans):
+            expected = {u for u, (a2, b2) in enumerate(spans) if u != v and a2 <= b and a <= b2}
+            assert sorted(agent.overlapping(v)) == sorted(expected)
+
+
+def test_presolve_keeps_innermost_run_endpoint_variant():
+    g = Graph(["A", "B"], [("A", "B")])
+    s = schedule_from_paths([["A", "A", "B", "A", "A"]])
+    cands = generate_candidates(s, REDUCED)
+    model = build_model(build_relations(s, cands), cands)
+    spans = {model.spans[i][1:]: i for i in model.free()}
+    assert set(spans) == {(0, 3), (0, 4), (1, 3), (1, 4)}
+    fixed = _dominated(model, model.free())
+    assert sorted(fixed) == sorted(spans[k] for k in [(0, 3), (0, 4), (1, 4)])
+    assert solve_exact(model, 5.0).saving == 2
+
+
+def test_presolve_keeps_outer_span_that_serves_an_implication():
+    spans = [(0, 0, 4), (0, 1, 3), (1, 0, 4)]
+    served = two_agent_model([2, 2, 1], [], [(2, (0,))], spans)
+    assert _dominated(served, [0, 1, 2]) == []
+    assert _dominated(two_agent_model([2, 2, 1], [], [], spans), [0, 1, 2]) == [0]
+
+
+def branching_model():
+    h = Graph([f"u{i}" for i in range(5)], [(f"u{i}", f"u{(i + 1) % 5}") for i in range(5)])
+    red = reduce_independent_set(h, 1)
+    cands = generate_candidates(red.schedule, REDUCED)
+    return build_model(build_relations(red.schedule, cands), cands)
+
+
+def test_search_does_not_touch_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    sol = solve_exact(branching_model(), 10.0)
+    assert sol.optimal and sol.saving == 4 * 5 + 2 * 2
+    assert sol.nodes_explored > 1
+
+
+def test_threads_share_one_model():
+    model = branching_model()  # its cached adjacency is built by the racing threads
+    results = [None] * 4
+
+    def run(k):
+        results[k] = solve_exact(model, 30.0)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    first = results[0]
+    assert first.optimal
+    for sol in results[1:]:
+        assert (sol.selected, sol.saving, sol.nodes_explored) == (first.selected, first.saving, first.nodes_explored)
