@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
 from .schedule import Schedule
 
 REDUCED = "reduced"
@@ -122,7 +121,6 @@ def collapse_paths(schedule: Schedule, actions) -> Schedule:
 
 def aba_prefilter_detailed(
     schedule: Schedule,
-    graph: Graph,
     max_passes: int = ABA_DEFAULT_MAX_PASSES,
 ) -> tuple[Schedule, int]:
     """Rewrite A,B,A position triples to A,A,A where no collision results.
@@ -134,7 +132,6 @@ def aba_prefilter_detailed(
     collision can be introduced. Returns the filtered schedule and the
     number of passes executed (fixpoint pass included).
     """
-    del graph  # adjacency is implied by the input; kept for interface symmetry
     T = schedule.horizon
     paths = [list(ag.path) for ag in schedule.agents]
     # occupancy[t] = multiset of vertices occupied at t, as counts

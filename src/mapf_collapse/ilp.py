@@ -13,7 +13,7 @@ cross-agent mutex pairs and implications are explicit.
 solve_exact splits the free variables into independent components
 without listing any pair: a sweep over each agent's sorted spans joins
 overlap chains, and union-find joins the ends of every explicit pair
-and every implication owner with its free members. Each component is
+and each implication owner with its members' chains. Each component is
 solved against a relaxation that drops the cross-agent pairs and the
 implications: what is left is one weighted interval scheduling problem
 per agent (Kleinberg & Tardos, Algorithm Design, 6.1), solved exactly
@@ -98,22 +98,22 @@ class IlpModel:
         return count_overlaps(self.spans, self.free()) + len(self.explicit_mutex)
 
     @cached_property
-    def links(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-        """(partners, owned, member_of) per variable: its explicit mutex
-        partners, and the indices into implications that it owns and that
-        list it as suitable. Built once and only read by the solvers."""
+    def links(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(partners, owned) per variable: its explicit mutex partners and
+        the indices into implications that it owns. An implication owned
+        by a variable fixed to zero is vacuous and is left out. Built once
+        and only read by the solvers; no member set is walked here."""
         n = self.n_vars
         partners: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.explicit_mutex:
             partners[a].append(b)
             partners[b].append(a)
         owned: list[list[int]] = [[] for _ in range(n)]
-        member_of: list[list[int]] = [[] for _ in range(n)]
-        for imp, (owner, suitable) in enumerate(self.implications):
-            owned[owner].append(imp)
-            for s in suitable:
-                member_of[s].append(imp)
-        return partners, owned, member_of
+        fixed = self.fixed_zero
+        for imp, (owner, _) in enumerate(self.implications):
+            if owner not in fixed:
+                owned[owner].append(imp)
+        return partners, owned
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def solve_greedy(model: IlpModel) -> CollapseSolution:
     t0 = time.monotonic()
     weights, spans, fixed, implications = model.weights, model.spans, model.fixed_zero, model.implications
     order = sorted(model.free(), key=lambda i: (-weights[i], i))
-    partners, owned, _ = model.links
+    partners, owned = model.links
 
     selected: set[int] = set()
     # agent -> (starts, ends) of its selected spans; they are disjoint,
@@ -244,15 +244,17 @@ def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
 
     Overlap chains come from one sweep over the sorted spans; union-find
     then joins the chains of every explicit pair and of every
-    implication owner with its free members. Components are sorted by
-    (size, smallest variable), members ascending. A component is coupled
-    when it holds an explicit pair or an implication; any other
-    component is a single overlap chain.
+    implication owner with each distinct chain of its free members. A
+    member whose chain is the previous member's is skipped: a suitable
+    set's members all cover the blocker's stay, so they share one chain
+    in practice, and one union per set replaces one per member.
+    Components are sorted by (size, smallest variable), members
+    ascending. A component is coupled when it holds an explicit pair or
+    an implication; any other component is a single overlap chain.
     """
-    fixed = model.fixed_zero
     free = model.free()
     chains = overlap_chains(model.spans, free)
-    chain_of = [0] * model.n_vars
+    chain_of = [-1] * model.n_vars  # -1: fixed to zero
     for c, chain in enumerate(chains):
         for i in chain:
             chain_of[i] = c
@@ -266,17 +268,20 @@ def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
 
     coupled: list[int] = []
     for a, b in model.explicit_mutex:
-        if a not in fixed and b not in fixed:
+        if chain_of[a] >= 0 and chain_of[b] >= 0:
             parent[find(chain_of[a])] = find(chain_of[b])
             coupled.append(chain_of[a])
     for owner, suitable in model.implications:
-        if owner in fixed:
+        if chain_of[owner] < 0:
             continue
         root = find(chain_of[owner])
         coupled.append(root)
+        last = -1
         for s in suitable:
-            if s not in fixed:
-                parent[find(chain_of[s])] = root
+            chain = chain_of[s]
+            if chain != last and chain >= 0:
+                parent[find(chain)] = root
+                last = chain
 
     members: dict[int, list[int]] = {}
     for v in free:
@@ -352,12 +357,22 @@ def _dominated(model: IlpModel, comp: list[int]) -> list[int]:
     variables; without this the search re-proves the same subtree once
     per variant. Strict nesting orders dominance, so fixing every
     dominated variable at once keeps an optimum.
+
+    The implications that list a variable of comp are found from the
+    ones its members own: an implication with a free owner joins the
+    owner's component with every free member, so only this component's
+    member sets are walked.
     """
     weights, spans, implications = model.weights, model.spans, model.implications
-    partners, owned, member_of = model.links
+    partners, owned = model.links
     groups: dict[tuple[int, int], list[int]] = {}
+    member_of: dict[int, list[int]] = {v: [] for v in comp}
     for v in comp:
         groups.setdefault((spans[v][0], weights[v]), []).append(v)
+        for imp in owned[v]:
+            for s in implications[imp][1]:
+                if s in member_of:
+                    member_of[s].append(imp)
 
     def dominates(j: int, i: int) -> bool:
         return (
@@ -404,7 +419,7 @@ def _solve_component(
     at 1 with none left ends the node.
     """
     weights, spans, implications = model.weights, model.spans, model.implications
-    partners, owned, _ = model.links
+    partners, owned = model.links
     by_agent: dict[int, list[int]] = {}
     for v in comp:
         by_agent.setdefault(spans[v][0], []).append(v)

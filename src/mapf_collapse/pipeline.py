@@ -87,7 +87,7 @@ def optimize_schedule(
     working = schedule
     aba_passes = 0
     if config.aba_filter:
-        working, aba_passes = aba_prefilter_detailed(schedule, graph)
+        working, aba_passes = aba_prefilter_detailed(schedule)
     aba_removed = cost_before - cost_moves(working)
 
     t_build = time.monotonic()

@@ -12,6 +12,11 @@ From a schedule and its candidate set this module extracts:
     moved away by one of its own "suitable" collapses;
   * invalid actions: a dependency with no suitable action at all.
 
+Cross-agent exclusions are found by one sweep per vertex over its
+candidates sorted by start, comparing each only with the still-open
+candidates of other agents, so the cost follows the pairs reported and
+not the square of the candidates on a vertex.
+
 Dependencies are found per stay, an agent's maximal constant run
 (first, last) on one vertex, kept sorted per vertex that some candidate
 parks on. A blocker's candidate on another vertex starts and ends on
@@ -122,8 +127,38 @@ class RelationSet:
         }
 
 
-def _intersect(a: int, b: int, a2: int, b2: int) -> bool:
-    return a <= b2 and a2 <= b
+def _cross_exclusions(by_vertex: dict[str, list[tuple[int, int, int, int]]]) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of different agents' candidates on one vertex
+    whose intervals intersect, unsorted; by_vertex lists each vertex's
+    candidates as (a, b, agent, index).
+
+    Each vertex's candidates are swept by start. Every agent keeps its
+    candidates that are still open, and a new candidate is compared only
+    with the open candidates of the other agents; an entry is dropped
+    once its end is below the current start, which no later start can
+    reach. Each comparison reports a pair or drops an entry for good, so
+    the work follows the output, not the square of the group
+    (Preparata & Shamos, Computational Geometry, 1985, 8.8).
+    """
+    pairs: list[tuple[int, int]] = []
+    for group in by_vertex.values():
+        if len(group) < 2:
+            continue
+        open_by_agent: dict[int, list[tuple[int, int]]] = {}  # agent -> [(b, index)]
+        for a, b, agent, i in sorted(group):
+            own = open_by_agent.setdefault(agent, [])
+            if len(open_by_agent) > 1:
+                for other, entries in list(open_by_agent.items()):
+                    if entries is own:
+                        continue
+                    if any(end < a for end, _ in entries):
+                        entries[:] = [e for e in entries if e[0] >= a]
+                        if not entries:
+                            del open_by_agent[other]
+                            continue
+                    pairs.extend((j, i) if j < i else (i, j) for _, j in entries)
+            own.append((b, i))
+    return pairs
 
 
 def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet:
@@ -144,18 +179,10 @@ def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet
         if schedule.agents[c.agent].path[c.a] != c.x or schedule.agents[c.agent].path[c.b] != c.x:
             raise ConsistencyError(f"action {c} endpoints do not match the schedule")
 
-    by_vertex: dict[str, list[int]] = {}
+    by_vertex: dict[str, list[tuple[int, int, int, int]]] = {}
     for idx, c in enumerate(actions):
-        by_vertex.setdefault(c.x, []).append(idx)
-    exclusions_cross: list[tuple[int, int]] = []
-    for group in by_vertex.values():
-        for p in range(len(group)):
-            ci = actions[group[p]]
-            for q in range(p + 1, len(group)):
-                cj = actions[group[q]]
-                if ci.agent != cj.agent and _intersect(ci.a, ci.b, cj.a, cj.b):
-                    pair = (group[p], group[q]) if group[p] < group[q] else (group[q], group[p])
-                    exclusions_cross.append(pair)
+        by_vertex.setdefault(c.x, []).append((c.a, c.b, c.agent, idx))
+    exclusions_cross = _cross_exclusions(by_vertex)
 
     stays: dict[str, list[tuple[int, int, int]]] = {x: [] for x in by_vertex}
     for j, ag in enumerate(schedule.agents):

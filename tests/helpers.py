@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_right
 
@@ -16,6 +17,7 @@ from mapf_collapse import (
     noisy_rollout,
 )
 from mapf_collapse.candidates import EXHAUSTIVE, generate_candidates
+from mapf_collapse.reduction import reduce_independent_set
 
 
 def schedule_from_paths(paths, starts=None, goals=None, names=None):
@@ -67,29 +69,53 @@ def random_rollout_instance(
     noise=0.5,
     blocked_cells=0,
 ):
-    """A relaxed-feasible schedule from a seeded rollout on a small grid."""
-    while True:
-        blocked = set()
-        cells = [(r, c) for r in range(height) for c in range(width)]
-        if blocked_cells:
-            blocked = set(rng.sample(cells, blocked_cells))
-        grid = GridMap(height, width, frozenset(blocked))
-        free = [f"r{r}c{c}" for r, c in grid.free_cells()]
-        if len(free) < 2 * n_agents:
-            continue
-        graph = grid_to_graph(grid)
-        starts = tuple(rng.sample(free, n_agents))
-        goals = tuple(rng.sample(free, n_agents))
-        request = PlanRequest(
-            graph,
-            starts,
-            goals,
-            horizon=horizon,
-            seed=rng.randrange(1 << 30),
-            noise=noise,
-            grid=grid,
+    """A relaxed-feasible schedule from a seeded rollout on a small grid.
+
+    Raises ValueError when the grid has fewer than 2 * n_agents free
+    cells: every grid of that size would have too few.
+    """
+    if 2 * n_agents > height * width - blocked_cells:
+        raise ValueError(
+            f"{n_agents} agents need {2 * n_agents} free cells; "
+            f"a {height}x{width} grid with {blocked_cells} blocked has {height * width - blocked_cells}"
         )
-        return noisy_rollout(request), graph, grid
+    blocked = set()
+    cells = [(r, c) for r in range(height) for c in range(width)]
+    if blocked_cells:
+        blocked = set(rng.sample(cells, blocked_cells))
+    grid = GridMap(height, width, frozenset(blocked))
+    free = [f"r{r}c{c}" for r, c in grid.free_cells()]
+    graph = grid_to_graph(grid)
+    starts = tuple(rng.sample(free, n_agents))
+    goals = tuple(rng.sample(free, n_agents))
+    request = PlanRequest(
+        graph,
+        starts,
+        goals,
+        horizon=horizon,
+        seed=rng.randrange(1 << 30),
+        noise=noise,
+        grid=grid,
+    )
+    return noisy_rollout(request), graph, grid
+
+
+def crowded_schedules():
+    """Reduction gadgets and 8-agent rollouts on 5x5 grids: many blockers."""
+    rng = random.Random(31)
+    out = []
+    for _ in range(20):
+        n = rng.randint(3, 5)
+        names = [f"u{i}" for i in range(n)]
+        pairs = list(itertools.combinations(names, 2))
+        h = Graph(names, rng.sample(pairs, rng.randint(1, min(4, len(pairs)))))
+        out.append(reduce_independent_set(h, rng.randint(1, n)).schedule)
+    for _ in range(50):
+        s, _, _ = random_rollout_instance(
+            rng, height=5, width=5, n_agents=8, horizon=24, noise=rng.choice([0.3, 0.6, 0.9])
+        )
+        out.append(s)
+    return out
 
 
 def positive_exhaustive_count(schedule) -> int:
@@ -185,3 +211,105 @@ def brute_force_model(model):
             continue
         best = max(best, sum(model.weights[v] for v in chosen))
     return best
+
+
+def all_pairs_cross_exclusions(candidates):
+    """Cross-agent exclusions by comparing every pair of candidates on one
+    vertex, sorted: the reference for the sweep in build_relations."""
+    actions = candidates.actions
+    by_vertex = {}
+    for idx, c in enumerate(actions):
+        by_vertex.setdefault(c.x, []).append(idx)
+    pairs = []
+    for group in by_vertex.values():
+        for p in range(len(group)):
+            ci = actions[group[p]]
+            for q in range(p + 1, len(group)):
+                cj = actions[group[q]]
+                if ci.agent != cj.agent and ci.a <= cj.b and cj.a <= ci.b:
+                    pairs.append((min(group[p], group[q]), max(group[p], group[q])))
+    pairs.sort()
+    return tuple(pairs)
+
+
+def all_members_components(model):
+    """Components of the free variables by union-find over every explicit
+    pair, every same-agent overlap and every implication owner with each
+    of its free members, in _components' order: the reference."""
+    free = model.free()
+    parent = {v: v for v in free}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    coupled = set()
+    for a, b in eager_overlaps(model):
+        union(a, b)
+    for a, b in model.explicit_mutex:
+        if a in parent and b in parent:
+            union(a, b)
+            coupled.add(a)
+    for owner, suitable in model.implications:
+        if owner not in parent:
+            continue
+        coupled.add(owner)
+        for s in suitable:
+            if s in parent:
+                union(owner, s)
+    members = {}
+    for v in free:
+        members.setdefault(find(v), []).append(v)
+    coupled_roots = {find(v) for v in coupled}
+    comps = [(m, root in coupled_roots) for root, m in members.items()]
+    return sorted(comps, key=lambda comp: (len(comp[0]), comp[0][0]))
+
+
+def eager_overlaps(model):
+    """Pairs of free variables of one agent whose spans intersect."""
+    by_agent = {}
+    for v in model.free():
+        by_agent.setdefault(model.spans[v][0], []).append(v)
+    return [
+        (u, v)
+        for vs in by_agent.values()
+        for u, v in itertools.combinations(vs, 2)
+        if model.spans[u][1] <= model.spans[v][2] and model.spans[v][1] <= model.spans[u][2]
+    ]
+
+
+def pairwise_dominated(model, comp):
+    """Variables of comp that _dominated must fix, by testing every pair
+    against implication memberships collected over the whole model: the
+    reference."""
+    weights, spans, implications = model.weights, model.spans, model.implications
+    partners = {v: set() for v in range(model.n_vars)}
+    for a, b in model.explicit_mutex:
+        partners[a].add(b)
+        partners[b].add(a)
+    owned_sets = {v: set() for v in range(model.n_vars)}
+    member_of = {v: set() for v in range(model.n_vars)}
+    for imp, (owner, suitable) in enumerate(implications):
+        owned_sets[owner].add(suitable)
+        for s in suitable:
+            member_of[s].add(imp)
+    fixed = []
+    for i in comp:
+        for j in comp:
+            if (
+                spans[j][0] == spans[i][0]
+                and weights[j] == weights[i]
+                and spans[i][1] <= spans[j][1]
+                and spans[j][2] <= spans[i][2]
+                and spans[j][1:] != spans[i][1:]
+                and partners[j] <= partners[i]
+                and owned_sets[j] <= owned_sets[i]
+                and member_of[i] <= member_of[j]
+            ):
+                fixed.append(i)
+                break
+    return sorted(fixed)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from mapf_collapse import (
-    Graph,
     cost_moves,
     generate_candidates,
     validate,
@@ -18,15 +17,10 @@ from mapf_collapse.candidates import (
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
-    line_graph,
     random_rollout_instance,
     schedule_from_paths,
     single_edge_graph,
 )
-
-
-def line_ab():
-    return Graph(["A", "B"], [("A", "B")])
 
 
 def actions_as_tuples(cands):
@@ -131,9 +125,8 @@ def test_invalid_mode_rejected():
 
 
 def test_aba_oscillation_smoothed():
-    g = line_ab()
     s = schedule_from_paths([["A", "B", "A", "B", "A"]])
-    filtered, passes = aba_prefilter_detailed(s, g)
+    filtered, passes = aba_prefilter_detailed(s)
     assert filtered.agents[0].path == ("A", "A", "A", "A", "A")
     assert cost_moves(s) - cost_moves(filtered) == 4
     assert passes == 2  # one rewriting pass plus the fixpoint check
@@ -141,35 +134,31 @@ def test_aba_oscillation_smoothed():
 
 def test_aba_blocked_by_occupant():
     # the blocker passes through A without an ABA pattern of its own
-    g = Graph(["A", "B", "C", "D"], [("A", "B"), ("C", "A"), ("A", "D")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
-    filtered = aba_prefilter_detailed(s, g)[0]
+    filtered = aba_prefilter_detailed(s)[0]
     assert filtered.agents[0].path == ("A", "B", "A")
     assert filtered.agents[1].path == ("C", "A", "D")
 
 
 def test_aba_rewrite_unblocks_neighbor():
     # removing the second agent's own oscillation frees A for the first
-    g = Graph(["A", "B", "C"], [("A", "B"), ("A", "C")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "C"]])
-    filtered = aba_prefilter_detailed(s, g)[0]
+    filtered = aba_prefilter_detailed(s)[0]
     assert filtered.agents[0].path == ("A", "A", "A")
     assert filtered.agents[1].path == ("C", "C", "C")
 
 
 def test_aba_constant_path_unchanged():
-    g = line_ab()
     s = schedule_from_paths([["A", "A", "A"]])
-    assert aba_prefilter_detailed(s, g)[0].agents[0].path == ("A", "A", "A")
+    assert aba_prefilter_detailed(s)[0].agents[0].path == ("A", "A", "A")
 
 
 def test_aba_respects_pass_cap():
-    g = line_graph(2)
     path = ["v0", "v1"] * 8 + ["v0"]
     s = schedule_from_paths([path])
-    capped, passes = aba_prefilter_detailed(s, g, max_passes=1)
+    capped, passes = aba_prefilter_detailed(s, max_passes=1)
     assert passes == 1
-    full, _ = aba_prefilter_detailed(s, g)
+    full, _ = aba_prefilter_detailed(s)
     assert cost_moves(full) <= cost_moves(capped)
 
 
@@ -179,7 +168,7 @@ def test_aba_never_increases_cost_and_stays_valid():
         s, g, _ = random_rollout_instance(rng, noise=0.6)
         report = validate(s, g, "relaxed")
         assert report.feasible
-        filtered = aba_prefilter_detailed(s, g)[0]
+        filtered = aba_prefilter_detailed(s)[0]
         assert cost_moves(filtered) <= cost_moves(s)
         assert validate(filtered, g, "relaxed").feasible
 
@@ -190,5 +179,5 @@ def test_aba_preserves_strict_feasibility():
         s, g, _ = random_rollout_instance(rng, noise=0.4, horizon=16)
         if not validate(s, g, "strict").feasible:
             continue
-        filtered = aba_prefilter_detailed(s, g)[0]
+        filtered = aba_prefilter_detailed(s)[0]
         assert validate(filtered, g, "strict").feasible

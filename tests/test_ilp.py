@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -19,16 +20,19 @@ from mapf_collapse import (
     validate,
 )
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
-from mapf_collapse.ilp import CollapseSolution, _Agent, _dominated
+from mapf_collapse.ilp import CollapseSolution, _Agent, _components, _dominated
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
+    all_members_components,
     brute_force_model,
+    crowded_schedules,
     eager_exclusions_in,
     eager_mutex,
     explicit_model,
+    pairwise_dominated,
     positive_exhaustive_count,
     random_rollout_instance,
     schedule_from_paths,
@@ -472,6 +476,61 @@ def test_presolve_keeps_outer_span_that_serves_an_implication():
     served = two_agent_model([2, 2, 1], [], [(2, (0,))], spans)
     assert _dominated(served, [0, 1, 2]) == []
     assert _dominated(two_agent_model([2, 2, 1], [], [], spans), [0, 1, 2]) == [0]
+
+
+# ------------------------------------------ components and presolve references
+
+
+def crowded_models(mode):
+    for s in crowded_schedules():
+        cands = generate_candidates(s, mode)
+        yield build_model(build_relations(s, cands), cands)
+
+
+def reduction_models():
+    """Independent-set reductions of random graphs, 10 vertices and 13 edges."""
+    rng = random.Random(71)
+    names = [f"u{i}" for i in range(10)]
+    pairs = list(itertools.combinations(names, 2))
+    for _ in range(30):
+        red = reduce_independent_set(Graph(names, rng.sample(pairs, 13)), 1)
+        cands = generate_candidates(red.schedule, REDUCED)
+        yield build_model(build_relations(red.schedule, cands), cands)
+
+
+@pytest.mark.parametrize("mode", [REDUCED, EXHAUSTIVE])
+def test_components_match_union_of_every_member(mode):
+    coupled = 0
+    for model in crowded_models(mode):
+        comps = _components(model)
+        assert comps == all_members_components(model)
+        coupled += sum(1 for _, c in comps if c)
+    assert coupled > 0
+
+
+def test_implication_over_two_agents_is_one_component():
+    # 0 needs one of 1, 2, 3: 1 and 3 form one chain of agent 1, 2 is agent 2's
+    spans = [(0, 0, 2), (1, 0, 2), (2, 0, 2), (1, 1, 3)]
+    model = two_agent_model([3, 1, 1, 1], [], [(0, (1, 2, 3))], spans)
+    assert _components(model) == [([0, 1, 2, 3], True)] == all_members_components(model)
+
+
+def test_presolve_matches_pairwise_reference():
+    fixed = 0
+    for model in itertools.chain(crowded_models(REDUCED), reduction_models()):
+        for comp, _ in _components(model):
+            found = sorted(_dominated(model, comp))
+            assert found == pairwise_dominated(model, comp)
+            fixed += len(found)
+    assert fixed > 0
+
+
+def test_presolve_reads_every_owned_implication():
+    # 0 is the only member of the second implication that 2 owns, so the
+    # nested 1 cannot stand in for it
+    spans = [(0, 0, 4), (0, 1, 3), (1, 0, 4), (2, 0, 4)]
+    model = two_agent_model([2, 2, 1, 1], [], [(2, (3,)), (2, (0,))], spans)
+    assert _dominated(model, [0, 1, 2, 3]) == [] == pairwise_dominated(model, [0, 1, 2, 3])
 
 
 def branching_model():

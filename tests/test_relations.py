@@ -15,6 +15,8 @@ from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
+    all_pairs_cross_exclusions,
+    crowded_schedules,
     per_step_dependencies,
     random_rollout_instance,
     schedule_from_paths,
@@ -69,16 +71,24 @@ def test_relations_invalid_when_blocker_has_no_candidates():
 
 
 def test_relations_cross_exclusion_same_vertex():
-    g = Graph(["A", "B", "C"], [("A", "B"), ("A", "C")])
-    s = schedule_from_paths([["B", "A", "B", "B"], ["C", "C", "A", "C"]])
+    # two agents' collapses onto A that touch at step 2 conflict: the
+    # paths collide there, which the relation builder does not check
+    s = schedule_from_paths([["A", "B", "A", "C", "C"], ["D", "D", "A", "B", "A"]])
     cands = generate_candidates(s, REDUCED)
+    ids = by_tuple(cands)
+    assert build_relations(s, cands).exclusions_cross == ((ids[(0, 0, 2)], ids[(1, 2, 4)]),)
+    # the same collapses one step apart do not
+    s = schedule_from_paths([["A", "B", "A", "C", "C", "C"], ["D", "D", "D", "A", "B", "A"]])
+    cands = generate_candidates(s, REDUCED)
+    assert len(cands.actions) == 2
+    assert build_relations(s, cands).exclusions_cross == ()
+    # one agent's overlapping collapses onto A are a within-agent pair only
+    s = schedule_from_paths([["A", "B", "A", "B", "A"], ["C", "C", "C", "C", "C"]])
+    cands = generate_candidates(s, REDUCED)
+    ids = by_tuple(cands)
     rel = build_relations(s, cands)
-    # agent0 repeats B at 0/2/3, agent1 repeats C at 0/1/3: the positive
-    # candidates overlap in time but collapse to different vertices, so the
-    # only same-vertex overlapping pairs are within-agent ones.
-    for i, j in rel.exclusions_cross:
-        assert cands.actions[i].x == cands.actions[j].x
-        assert cands.actions[i].agent != cands.actions[j].agent
+    assert (ids[(0, 0, 2)], ids[(0, 2, 4)]) in rel.exclusions_in
+    assert rel.exclusions_cross == ()
 
 
 def test_relations_reject_foreign_candidates():
@@ -91,25 +101,18 @@ def test_relations_reject_foreign_candidates():
         build_relations(s2, cands)
 
 
-# ----------------------------------------------------- per-stay dependency scan
+# ------------------------------------- cross-agent sweep, per-stay dependency scan
 
 
-def crowded_schedules():
-    """Reduction gadgets and 8-agent rollouts on 5x5 grids: many blockers."""
-    rng = random.Random(31)
-    out = []
-    for _ in range(20):
-        n = rng.randint(3, 5)
-        names = [f"u{i}" for i in range(n)]
-        pairs = list(itertools.combinations(names, 2))
-        h = Graph(names, rng.sample(pairs, rng.randint(1, min(4, len(pairs)))))
-        out.append(reduce_independent_set(h, rng.randint(1, n)).schedule)
-    for _ in range(50):
-        s, _, _ = random_rollout_instance(
-            rng, height=5, width=5, n_agents=8, horizon=24, noise=rng.choice([0.3, 0.6, 0.9])
-        )
-        out.append(s)
-    return out
+@pytest.mark.parametrize("mode", [REDUCED, EXHAUSTIVE])
+def test_cross_exclusions_match_all_pairs(mode):
+    listed = 0
+    for s in crowded_schedules():
+        cands = generate_candidates(s, mode)
+        rel = build_relations(s, cands)
+        assert rel.exclusions_cross == all_pairs_cross_exclusions(cands)
+        listed += len(rel.exclusions_cross)
+    assert listed > 0
 
 
 @pytest.mark.parametrize("mode", [REDUCED, EXHAUSTIVE])
