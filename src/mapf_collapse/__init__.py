@@ -40,13 +40,11 @@ from .reduction import ReductionOutput, reduce_independent_set, verify_roundtrip
 from .relations import RelationSet, build_relations
 from .schedule import (
     AgentRecord,
-    CostMetrics,
     FeasibilityReport,
     Instance,
     Schedule,
     Violation,
     agent_density,
-    compute_metrics,
     cost_moves,
     isr,
     load_instance,
@@ -64,7 +62,6 @@ __all__ = [
     "CollapseAction",
     "CollapseSolution",
     "ConsistencyError",
-    "CostMetrics",
     "FeasibilityReport",
     "Graph",
     "GridMap",
@@ -92,7 +89,6 @@ __all__ = [
     "build_relations",
     "cell_name",
     "collapse_paths",
-    "compute_metrics",
     "cost_moves",
     "generate_candidates",
     "grid_to_graph",

@@ -28,18 +28,11 @@ class CollapseAction:
     x: str
     weight: int
 
-    def interval(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class CandidateSet:
     actions: tuple[CollapseAction, ...]
     per_agent: dict[int, tuple[int, ...]]
-    generation_mode: str
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
 
 def prefix_moves(path: tuple[str, ...]) -> list[int]:
@@ -97,11 +90,7 @@ def generate_candidates(schedule: Schedule, mode: str = REDUCED) -> CandidateSet
     per_agent: dict[int, list[int]] = {}
     for idx, c in enumerate(actions):
         per_agent.setdefault(c.agent, []).append(idx)
-    return CandidateSet(
-        tuple(actions),
-        {i: tuple(v) for i, v in per_agent.items()},
-        mode,
-    )
+    return CandidateSet(tuple(actions), {i: tuple(v) for i, v in per_agent.items()})
 
 
 def collapse_paths(schedule: Schedule, actions) -> Schedule:

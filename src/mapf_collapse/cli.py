@@ -24,7 +24,7 @@ from .errors import (
     PlanningError,
     UnknownVertexError,
 )
-from .graph import Graph, grid_to_graph, load_map
+from .graph import grid_to_graph, load_map
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_force_collapse
 from .pipeline import DEFAULT_TIME_LIMIT_MS, OptimizeConfig, optimize_schedule
 from .planner import RNG_NAME, PlanRequest, noisy_rollout, prioritized_plan
@@ -34,8 +34,10 @@ from .schedule import (
     STRICT,
     Instance,
     cost_moves,
+    graph_from_json_dict,
     isr,
     load_instance,
+    load_json,
     save_instance,
     validate,
 )
@@ -153,9 +155,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        h = Graph.from_json_dict(json.load(fh))
-    red = reduce_independent_set(h, args.k)
+    red = reduce_independent_set(graph_from_json_dict(load_json(args.graph)), args.k)
     inst = Instance(red.graph, red.schedule)
     out = args.out or f"{os.path.splitext(args.graph)[0]}.k{args.k}.instance.json"
     save_instance(inst, out)

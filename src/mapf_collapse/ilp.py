@@ -20,18 +20,21 @@ per agent (Kleinberg & Tardos, Algorithm Design, 6.1), solved exactly
 by dynamic programming, and the sum of those optima bounds the
 component (the Lagrangian bound with all multipliers at zero). A
 component of one agent without explicit constraints is solved by the
-DP alone. A coupled one is proved at the root when its bound equals the
-greedy's part of it or its relaxed optimum is feasible; otherwise a
-presolve fixes to zero every variable that a same-agent, same-weight
-variable with a strictly nested span dominates, and a depth-first
-search on an explicit stack runs. Each node recomputes the DP of the
-agents whose variables changed, is pruned when the bound does not beat
-the incumbent, and is closed when the relaxed optimum violates no pair
-and no implication. Otherwise it branches, 1 first, on the first
-violated constraint: on the heavier end of a cross-agent pair, or on
-the owner of an unmet implication (once the owner is 1, on its
+DP alone. A coupled one starts from the empty selection and is proved
+at the root when its bound is 0 or its relaxed optimum is feasible;
+otherwise a presolve fixes to zero every variable that a same-agent,
+same-weight variable with a strictly nested span dominates, and a
+depth-first search on an explicit stack runs. Each node recomputes the
+DP of the agents whose variables changed, is pruned when the bound does
+not beat the incumbent, and is closed when the relaxed optimum violates
+no pair and no implication. Otherwise it branches, 1 first, on the
+first violated constraint: on the heavier end of a cross-agent pair, or
+on the owner of an unmet implication (once the owner is 1, on its
 heaviest undecided suitable member). Same-agent exclusions propagate
-by bisecting the agent's spans sorted by end.
+by bisecting the agent's spans sorted by end. The search's first dive
+is also its anytime answer ("diving", Achterberg, Constraint Integer
+Programming, 2007): a deadline stops a component only once it has
+reached a feasible leaf.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class IlpModel:
         """(partners, owned) per variable: its explicit mutex partners and
         the indices into implications that it owns. An implication owned
         by a variable fixed to zero is vacuous and is left out. Built once
-        and only read by the solvers; no member set is walked here."""
+        and only read by the search; no member set is walked here."""
         n = self.n_vars
         partners: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.explicit_mutex:
@@ -122,7 +125,6 @@ class CollapseSolution:
     saving: int
     optimal: bool
     nodes_explored: int = 0
-    build_time: float = 0.0
     solve_time: float = 0.0
     n_components: int = 0
     n_components_proved: int = 0
@@ -152,91 +154,6 @@ def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
         if d.action not in fixed
     )
     return IlpModel(weights, cross, implications, frozenset(fixed), relations.spans)
-
-
-def solve_greedy(model: IlpModel) -> CollapseSolution:
-    """Weight-descending greedy with implication closure.
-
-    Each action is tentatively added together with the actions needed to
-    satisfy its implications (picking the heaviest compatible suitable
-    action, recursively); the whole group is rolled back when a mutex or
-    an unsatisfiable implication is hit. A same-agent overlap with the
-    selection is found by bisecting that agent's selected spans.
-    """
-    t0 = time.monotonic()
-    weights, spans, fixed, implications = model.weights, model.spans, model.fixed_zero, model.implications
-    order = sorted(model.free(), key=lambda i: (-weights[i], i))
-    partners, owned = model.links
-
-    selected: set[int] = set()
-    # agent -> (starts, ends) of its selected spans; they are disjoint,
-    # so both lists are sorted
-    taken: dict[int, tuple[list[int], list[int]]] = {}
-
-    def clashes(v: int, group) -> bool:
-        """v is mutex with a selected variable or another group member."""
-        agent, a, b = spans[v]
-        row = taken.get(agent)
-        if row is not None:
-            k = bisect_right(row[0], b)
-            if k and row[1][k - 1] >= a:
-                return True
-        for u in group:
-            if u != v:
-                agent_u, a_u, b_u = spans[u]
-                if agent_u == agent and a_u <= b and a <= b_u:
-                    return True
-        for u in partners[v]:
-            if u != v and (u in selected or u in group):
-                return True
-        return False
-
-    def close(seed: int) -> set[int] | None:
-        group = {seed}
-        queue = [seed]
-        while queue:
-            cur = queue.pop(0)
-            if clashes(cur, group):
-                return None
-            for imp in owned[cur]:
-                suitable = implications[imp][1]
-                if any(s in selected or s in group for s in suitable):
-                    continue
-                pick = None
-                for s in sorted(suitable, key=lambda i: (-weights[i], i)):
-                    if s not in fixed and not clashes(s, group):
-                        pick = s
-                        break
-                if pick is None:
-                    return None
-                group.add(pick)
-                queue.append(pick)
-        return group
-
-    for i in order:
-        if i in selected or clashes(i, ()):
-            continue
-        group = close(i)
-        if group is None:
-            continue
-        selected |= group
-        for v in group:
-            agent, a, b = spans[v]
-            starts, ends = taken.setdefault(agent, ([], []))
-            k = bisect_right(starts, a)
-            starts.insert(k, a)
-            ends.insert(k, b)
-
-    saving = sum(weights[i] for i in selected)
-    upper = sum(weights[i] for i in order)
-    return CollapseSolution(
-        frozenset(selected),
-        saving,
-        optimal=saving == upper,
-        nodes_explored=0,
-        solve_time=time.monotonic() - t0,
-        upper_bound=upper,
-    )
 
 
 def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
@@ -399,15 +316,17 @@ def _dominated(model: IlpModel, comp: list[int]) -> list[int]:
 def _solve_component(
     model: IlpModel,
     comp: list[int],
-    warm: list[int],
     val: list[int],
     deadline: float | None,
 ) -> tuple[list[int], bool, int, int]:
     """Exact search on one component: (selected, proved, nodes, bound).
 
-    bound is the proved optimum, or the root relaxation's value when the
-    deadline cut the search. val holds every variable's state; it is
-    shared between the disjoint components of one solve.
+    The empty selection is the first incumbent. The deadline is read
+    only once the search has reached a feasible leaf, so a component it
+    cuts keeps at least its first dive's selection. bound is the proved
+    optimum, or the root relaxation's value when the deadline cut the
+    search. val holds every variable's state; it is shared between the
+    disjoint components of one solve.
 
     Fixing a variable to 1 fixes its partners and same-agent overlaps
     to 0; per implication it owns, a single member not fixed to 0 is
@@ -516,15 +435,13 @@ def _solve_component(
             if branch != REVISED:
                 return bound, relaxed, branch
 
-    best = warm
-    best_saving = sum(weights[v] for v in warm)
+    best: list[int] = []
+    best_saving = 0
     root_bound, relaxed, branch = evaluate()
-    if branch == PRUNED:  # nothing is 1 at the root: the bound fell to the incumbent
-        return best, True, 1, best_saving
+    if branch == PRUNED:  # nothing is 1 at the root: the bound is 0
+        return best, True, 1, 0
     if branch == FEASIBLE:
         return relaxed, True, 1, root_bound
-    if deadline is not None and time.monotonic() > deadline:
-        return best, False, 1, root_bound
 
     for v in _dominated(model, comp):
         assign(v, ZERO)
@@ -535,7 +452,8 @@ def _solve_component(
     while True:
         if consistent:
             nodes += 1
-            if deadline is not None and time.monotonic() > deadline:
+            # best is non-empty from the first feasible leaf on: its bound beat 0
+            if best and deadline is not None and time.monotonic() > deadline:
                 completed = False
                 break
             bound, relaxed, branch = evaluate()
@@ -557,19 +475,17 @@ def _solve_component(
 def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolution:
     """Exact solve, component by component; anytime under a time limit.
 
-    One greedy pass gives every coupled component its incumbent. The
-    components run in (size, smallest variable) order under one shared
-    deadline; once it has passed, each remaining coupled component gets
-    only the root check, which proves it when its relaxation is feasible
-    or no better than the greedy's part, and keeps the greedy's part
-    otherwise. optimal is True iff every component was proved;
-    upper_bound adds up each component's proved optimum or root bound.
-    Deterministic: fixed component and variable order, first-found
-    tie-breaking.
+    The components run in (size, smallest variable) order under one
+    shared deadline. One-agent components are solved by the interval DP
+    whatever the deadline. Every coupled component gets its root check,
+    and, unless that proves it, a search that runs at least until its
+    first feasible leaf; the deadline stops it only after that. optimal
+    is True iff every component was proved; upper_bound adds up each
+    component's proved optimum or root bound. Deterministic: fixed
+    component and variable order, first-found tie-breaking.
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
-    greedy = solve_greedy(model)
     val = [UNDEC] * model.n_vars
     for i in model.fixed_zero:
         val[i] = ZERO
@@ -579,8 +495,7 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
     nodes = proved = upper_bound = 0
     for comp, coupled in comps:
         if coupled:
-            warm = [v for v in comp if v in greedy.selected]
-            chosen, done, explored, bound = _solve_component(model, comp, warm, val, deadline)
+            chosen, done, explored, bound = _solve_component(model, comp, val, deadline)
         else:
             bound, chosen = _Agent(comp, model).solve(val)
             done, explored = True, 0
@@ -599,6 +514,15 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
         n_components_proved=proved,
         upper_bound=upper_bound,
     )
+
+
+def solve_greedy(model: IlpModel) -> CollapseSolution:
+    """The anytime answer at a zero time limit: solve_exact(model, 0.0).
+
+    Each coupled component keeps its first dive's selection unless the
+    root check proves it.
+    """
+    return solve_exact(model, 0.0)
 
 
 def apply_solution(

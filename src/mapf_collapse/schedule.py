@@ -230,24 +230,6 @@ def agent_density(schedule: Schedule, grid: GridMap, fov: int = 11) -> float:
 
 
 @dataclass(frozen=True)
-class CostMetrics:
-    moves: int
-    soc: int
-    isr: float
-    agent_density: float | None
-
-
-def compute_metrics(schedule: Schedule, grid: GridMap | None = None, fov: int = 11) -> CostMetrics:
-    density = None
-    if grid is not None:
-        try:
-            density = agent_density(schedule, grid, fov)
-        except UnsupportedScheduleError:
-            density = None
-    return CostMetrics(cost_moves(schedule), soc(schedule), isr(schedule), density)
-
-
-@dataclass(frozen=True)
 class Instance:
     """A schedule together with the graph (and grid, when known) it lives on."""
 
@@ -292,16 +274,14 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
         path = os.path.join(base_dir, gspec["map_file"])
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                grid = load_map(fh.read())
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or non-UTF-8 bytes
             raise InstanceFormatError(f"cannot read map file {path!r}: {exc}") from exc
+        grid = load_map(text)
         graph = grid_to_graph(grid)
         map_name = os.path.splitext(os.path.basename(gspec["map_file"]))[0]
     else:
-        try:
-            graph = Graph.from_json_dict(gspec)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InstanceFormatError(f"bad graph JSON: {exc}") from exc
+        graph = graph_from_json_dict(gspec)
         grid = derive_grid(graph)
 
     horizon = data["horizon"]
@@ -331,13 +311,27 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
     return Instance(graph, schedule, grid, map_name)
 
 
-def load_instance(path: str) -> Instance:
+def graph_from_json_dict(data) -> Graph:
+    """Graph.from_json_dict with any malformed value as InstanceFormatError."""
+    try:
+        return Graph.from_json_dict(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InstanceFormatError(f"bad graph JSON: {exc}") from exc
+
+
+def load_json(path: str):
+    """Parse a JSON file; bytes that are not UTF-8, text that is not JSON
+    and nesting deeper than the parser's recursion limit all raise
+    InstanceFormatError. A missing file raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise InstanceFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return instance_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def load_instance(path: str) -> Instance:
+    return instance_from_json_dict(load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def save_instance(instance: Instance, path: str) -> None:

@@ -60,6 +60,15 @@ def square_graph():
     return Graph(vs, [("u1", "u2"), ("u2", "u3"), ("u3", "u4"), ("u4", "u1")])
 
 
+def edge_instance_json():
+    """Instance JSON of one agent crossing the edge A-B at T=1."""
+    return {
+        "graph": {"vertices": ["A", "B"], "edges": [["A", "B"]]},
+        "horizon": 1,
+        "agents": [{"name": "a0", "start": "A", "goal": "B", "path": ["A", "B"]}],
+    }
+
+
 def random_rollout_instance(
     rng: random.Random,
     height=3,

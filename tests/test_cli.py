@@ -8,7 +8,7 @@ from mapf_collapse import Instance, load_instance, save_instance
 from mapf_collapse.cli import main
 from mapf_collapse.reduction import reduce_independent_set
 
-from helpers import schedule_from_paths, single_edge_graph
+from helpers import edge_instance_json, schedule_from_paths, single_edge_graph
 
 TINY_MAP = "type octile\nheight 4\nwidth 4\nmap\n....\n....\n....\n....\n"
 
@@ -75,14 +75,6 @@ def test_optimize_infeasible_input_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def _edge_instance_json():
-    return {
-        "graph": {"vertices": ["A", "B"], "edges": [["A", "B"]]},
-        "horizon": 1,
-        "agents": [{"name": "a0", "start": "A", "goal": "B", "path": ["A", "B"]}],
-    }
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -94,7 +86,7 @@ def _edge_instance_json():
     ],
 )
 def test_optimize_malformed_field_exit_2(tmp_path, capsys, field, value):
-    data = _edge_instance_json()
+    data = edge_instance_json()
     if field == "horizon":
         data["horizon"] = value
     elif field == "map_file":
@@ -104,6 +96,42 @@ def test_optimize_malformed_field_exit_2(tmp_path, capsys, field, value):
     p = tmp_path / "malformed.json"
     p.write_text(json.dumps(data))
     code, _ = run(capsys, "optimize", str(p), "--mode", "relaxed")
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"graph": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["non-utf8", "deeply-nested"],
+)
+def test_malformed_instance_file_exit_2(tmp_path, capsys, content):
+    p = tmp_path / "malformed.json"
+    p.write_bytes(content)
+    for command in ("validate", "optimize"):
+        code, _ = run(capsys, command, str(p), "--mode", "relaxed")
+        assert code == 2
+
+
+@pytest.mark.parametrize("map_file", ["bad.map", "nul\x00.map"], ids=["non-utf8", "nul-in-path"])
+def test_unreadable_map_file_exit_2(tmp_path, capsys, map_file):
+    (tmp_path / "bad.map").write_bytes(TINY_MAP.encode() + b"\xff\n")
+    data = edge_instance_json()
+    data["graph"] = {"map_file": map_file}
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(data))
+    code, _ = run(capsys, "validate", str(p))
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{bad", "[1]", "null", '{"vertices": ["u1", "u2"], "edges": [true]}', "\xff"],
+    ids=["not-json", "list", "null", "bool-edge", "non-utf8"],
+)
+def test_reduce_malformed_graph_exit_2(tmp_path, capsys, text):
+    gpath = tmp_path / "h.json"
+    gpath.write_bytes(text.encode("latin-1"))
+    code, _ = run(capsys, "reduce", str(gpath), "--k", "1", "-o", str(tmp_path / "x.json"))
     assert code == 2
 
 

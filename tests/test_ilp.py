@@ -156,8 +156,9 @@ def test_solve_greedy_unsatisfiable_dependency():
         fixed_zero=frozenset({1}),
     )
     sol = solve_greedy(model)
+    # at budget 0 the root check proves it: owner 0 is fixed to 0
     assert sol.saving == 0 and sol.selected == frozenset()
-    assert sol.upper_bound == 3 and not sol.optimal
+    assert sol.upper_bound == 0 and sol.optimal
     exact = solve_exact(model, 5.0)
     assert exact.saving == 0 and exact.optimal and exact.upper_bound == 0
 
@@ -343,7 +344,6 @@ def test_span_model_solves_like_explicit_model():
     rng = random.Random(61)
     for s, g, mode, cands, rel, model in random_models(rng, 80):
         listed = explicit_model(model, cands, rel)
-        assert solve_greedy(model).selected == solve_greedy(listed).selected
         sol = solve_exact(model, 30.0)
         ref = solve_exact(listed, 30.0)
         assert sol.optimal and ref.optimal
@@ -388,12 +388,12 @@ def test_pipeline_reports_components():
     assert stats["n_components"] == stats["n_components_proved"] == k
 
 
-def test_solve_exact_zero_budget_keeps_greedy_and_solves_one_agent_parts():
+def test_solve_exact_zero_budget_searches_each_coupled_component_to_a_first_incumbent():
     _, _, gadget = gadget_pipeline()
     copies = disjoint_copies(gadget, 3)
     n = copies.n_vars
     agents = 1 + max(agent for agent, _, _ in copies.spans)
-    # one agent whose heaviest span blocks two lighter ones: greedy 3, optimum 4
+    # one agent whose heaviest span blocks two lighter ones: 3 alone, 4 together
     model = IlpModel(
         copies.weights + (3, 2, 2),
         copies.explicit_mutex,
@@ -401,13 +401,13 @@ def test_solve_exact_zero_budget_keeps_greedy_and_solves_one_agent_parts():
         copies.fixed_zero,
         copies.spans + ((agents, 0, 4), (agents, 0, 1), (agents, 2, 4)),
     )
-    greedy = solve_greedy(model)
-    assert greedy.selected & {n, n + 1, n + 2} == {n}
     sol = solve_exact(model, 0.0)
     assert_feasible(model, sol.selected)
-    assert sol.saving >= greedy.saving
+    # each gadget copy's first dive reaches its optimum 6, unproved
+    assert sol.saving == 3 * 6 + 4 == brute_force_model(model)
     assert sol.selected & {n, n + 1, n + 2} == {n + 1, n + 2}
-    assert sol.n_components == 4 and sol.n_components_proved >= 1
+    assert sol.n_components == 4 and sol.n_components_proved == 1
+    assert not sol.optimal and sol.upper_bound > sol.saving
 
 
 # ------------------------------------------------------ relaxation search
@@ -440,8 +440,9 @@ def test_relaxation_search_branches_on_violated_constraint(build):
     assert sol.upper_bound == sol.saving
     assert sol.nodes_explored > 1  # the root relaxation was infeasible
     assert_feasible(model, sol.selected)
-    capped = solve_exact(model, 0.0)  # root check only
-    assert not capped.optimal and capped.saving == solve_greedy(model).saving
+    capped = solve_exact(model, 0.0)  # searched to its first feasible leaf
+    assert not capped.optimal and capped.saving == brute_force_model(model)
+    assert capped.nodes_explored > 1
     assert capped.upper_bound > sol.saving
 
 
