@@ -239,10 +239,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = build_parser()  # built once: parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

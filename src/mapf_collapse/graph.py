@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import MapParseError, UnknownVertexError
 
@@ -171,6 +173,13 @@ class Graph:
     def neighbors(self, v: str) -> list[str]:
         self.require(v)
         return sorted(self._adj[v])
+
+    @property
+    def adjacency(self) -> Mapping[str, AbstractSet[str]]:
+        """Read-only view mapping each vertex to its neighbours (waits
+        not listed). Unlike neighbors(), a lookup does not check the
+        vertex: ``v in graph.adjacency`` is the membership test."""
+        return MappingProxyType(self._adj)
 
     def has_edge(self, u: str, v: str) -> bool:
         """True iff u == v (implicit wait) or {u, v} is an edge."""

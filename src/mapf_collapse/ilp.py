@@ -47,7 +47,7 @@ from functools import cached_property
 from .candidates import CandidateSet, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
-from .relations import RelationSet, Span, count_overlaps, overlap_chains, overlap_pairs
+from .relations import RelationSet, Span, chain_pairs, count_chain_pairs, overlap_chains
 from .schedule import Schedule, cost_moves, validate
 
 
@@ -86,11 +86,17 @@ class IlpModel:
         return [i for i in range(self.n_vars) if i not in self.fixed_zero]
 
     @cached_property
+    def chains(self) -> list[list[int]]:
+        """The free variables' overlap chains (relations.overlap_chains):
+        swept once, read by mutex, n_mutex and the component split."""
+        return overlap_chains(self.spans, self.free())
+
+    @cached_property
     def mutex(self) -> tuple[tuple[int, int], ...]:
         """Every mutex pair, listed on first access: the explicit pairs,
         merged and sorted with the same-agent overlaps of free variables
         when there are any."""
-        within = overlap_pairs(self.spans, self.free())
+        within = [pair for chain in self.chains for pair in chain_pairs(self.spans, chain)]
         if not within:
             return self.explicit_mutex
         return tuple(sorted(within + list(self.explicit_mutex)))
@@ -98,7 +104,8 @@ class IlpModel:
     @cached_property
     def n_mutex(self) -> int:
         """len(self.mutex), counted without listing the pairs."""
-        return count_overlaps(self.spans, self.free()) + len(self.explicit_mutex)
+        within = sum(count_chain_pairs(self.spans, chain) for chain in self.chains)
+        return within + len(self.explicit_mutex)
 
     @cached_property
     def links(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -170,7 +177,7 @@ def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
     an implication; any other component is a single overlap chain.
     """
     free = model.free()
-    chains = overlap_chains(model.spans, free)
+    chains = model.chains
     chain_of = [-1] * model.n_vars  # -1: fixed to zero
     for c, chain in enumerate(chains):
         for i in chain:

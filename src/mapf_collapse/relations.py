@@ -91,14 +91,10 @@ def overlap_pairs(spans: tuple[Span, ...], members) -> list[tuple[int, int]]:
     return pairs
 
 
-def count_overlaps(spans: tuple[Span, ...], members) -> int:
-    """len(overlap_pairs(spans, members)), with one bisect per span."""
-    total = 0
-    for chain in overlap_chains(spans, members):
-        starts = [spans[i][1] for i in chain]
-        for pos, i in enumerate(chain):
-            total += bisect_right(starts, spans[i][2]) - pos - 1
-    return total
+def count_chain_pairs(spans: tuple[Span, ...], chain: list[int]) -> int:
+    """len(chain_pairs(spans, chain)), with one bisect per span."""
+    starts = [spans[i][1] for i in chain]
+    return sum(bisect_right(starts, spans[i][2]) - pos - 1 for pos, i in enumerate(chain))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ A schedule is an N x (T+1) matrix of vertex ids: one row per agent,
 one column per timestep. The validator reports every violation instead
 of stopping at the first, so a report doubles as a diagnosis. All
 functions here are pure; schedules are immutable values.
+
+validate and cost_moves scan the cells only at C level (comparing
+consecutive positions, building sets). Beyond that, their work is per
+move (a step at which an agent changes vertex) plus one set per
+timestep; validate walks a timestep agent by agent only where it holds
+a collision.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import contains, ne
 
 from .errors import InstanceFormatError, UnsupportedScheduleError
 from .graph import Graph, GridMap, derive_grid, grid_to_graph, load_map, parse_cell
@@ -88,26 +96,49 @@ def validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> Feasibilit
     Strict mode checks everything; relaxed mode skips the goal-stop and
     duplicate-goal checks so partially solved schedules can be handled.
     Unknown vertices raise; they are an input error, not a violation.
+
+    Cost: one set-containment test per path for unknown vertices (the
+    per-vertex check runs only on a path that fails it, to raise for the
+    same first vertex); the moves, found at C level, for disconnected
+    steps and swaps; one set per timestep column for vertex collisions.
+    A timestep is walked agent by agent only where it holds a vertex or
+    an edge collision, to name the agent pairs in the order a walk over
+    every cell would.
     """
     _check_mode(mode)
     T = schedule.horizon
+    adj = graph.adjacency
     for ag in schedule.agents:
-        graph.require(ag.start)
-        graph.require(ag.goal)
-        for v in ag.path:
-            graph.require(v)
+        if not (ag.start in adj and ag.goal in adj and adj.keys() >= set(ag.path)):
+            for v in (ag.start, ag.goal, *ag.path):
+                graph.require(v)
 
     violations: list[Violation] = []
+    arcs: set[tuple[int, str, str]] = set()  # (t, u, v): an earlier agent moves u -> v at t
+    swap_steps: set[int] = set()
     for i, ag in enumerate(schedule.agents):
-        if ag.path[0] != ag.start:
+        p = ag.path
+        if p[0] != ag.start:
             violations.append(Violation("start-mismatch", (i,), 0))
-        if mode == STRICT and ag.path[T] != ag.goal:
+        if mode == STRICT and p[T] != ag.goal:
             violations.append(Violation("goal-stop", (i,), T))
-        for t in range(T):
-            if not graph.has_edge(ag.path[t], ag.path[t + 1]):
-                violations.append(Violation("disconnected-step", (i,), t))
+        q = p[1:]
+        steps = list(compress(count(), map(ne, p, q)))
+        sources = list(map(p.__getitem__, steps))
+        targets = list(map(q.__getitem__, steps))
+        if not all(map(contains, map(adj.__getitem__, sources), targets)):
+            violations.extend(
+                Violation("disconnected-step", (i,), t)
+                for t, u, v in zip(steps, sources, targets)
+                if v not in adj[u]
+            )
+        if not arcs.isdisjoint(zip(steps, targets, sources)):
+            swap_steps.update(key[0] for key in zip(steps, targets, sources) if key in arcs)
+        arcs.update(zip(steps, sources, targets))
 
-    for t in range(T + 1):
+    n = len(schedule.agents)
+    columns = zip(*(ag.path for ag in schedule.agents))
+    for t in compress(count(), map(n.__ne__, map(len, map(set, columns)))):
         occupant: dict[str, int] = {}
         for i, ag in enumerate(schedule.agents):
             v = ag.path[t]
@@ -116,7 +147,7 @@ def validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> Feasibilit
             else:
                 occupant[v] = i
 
-    for t in range(T):
+    for t in swap_steps:
         movers: dict[tuple[str, str], int] = {}
         for i, ag in enumerate(schedule.agents):
             u, v = ag.path[t], ag.path[t + 1]
@@ -145,11 +176,7 @@ def validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> Feasibilit
 
 def cost_moves(schedule: Schedule) -> int:
     """Number of (agent, timestep) pairs that traverse an edge."""
-    total = 0
-    for ag in schedule.agents:
-        p = ag.path
-        total += sum(1 for t in range(len(p) - 1) if p[t] != p[t + 1])
-    return total
+    return sum(sum(map(ne, ag.path, ag.path[1:])) for ag in schedule.agents)
 
 
 def settle_time(path: tuple[str, ...], goal: str) -> int:

@@ -18,6 +18,7 @@ from mapf_collapse import (
 )
 from mapf_collapse.candidates import EXHAUSTIVE, generate_candidates
 from mapf_collapse.reduction import reduce_independent_set
+from mapf_collapse.schedule import STRICT, FeasibilityReport, Violation, _check_mode
 
 
 def schedule_from_paths(paths, starts=None, goals=None, names=None):
@@ -322,3 +323,75 @@ def pairwise_dominated(model, comp):
                 fixed.append(i)
                 break
     return sorted(fixed)
+
+
+def reference_validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> FeasibilityReport:
+    """validate by a walk over every (agent, timestep) cell: the reference.
+
+    Checks a schedule against the graph and the collision rules. Strict
+    mode checks everything; relaxed mode skips the goal-stop and
+    duplicate-goal checks. Unknown vertices raise; they are an input
+    error, not a violation.
+    """
+    _check_mode(mode)
+    T = schedule.horizon
+    for ag in schedule.agents:
+        graph.require(ag.start)
+        graph.require(ag.goal)
+        for v in ag.path:
+            graph.require(v)
+
+    violations: list[Violation] = []
+    for i, ag in enumerate(schedule.agents):
+        if ag.path[0] != ag.start:
+            violations.append(Violation("start-mismatch", (i,), 0))
+        if mode == STRICT and ag.path[T] != ag.goal:
+            violations.append(Violation("goal-stop", (i,), T))
+        for t in range(T):
+            if not graph.has_edge(ag.path[t], ag.path[t + 1]):
+                violations.append(Violation("disconnected-step", (i,), t))
+
+    for t in range(T + 1):
+        occupant: dict[str, int] = {}
+        for i, ag in enumerate(schedule.agents):
+            v = ag.path[t]
+            if v in occupant:
+                violations.append(Violation("vertex-collision", (occupant[v], i), t))
+            else:
+                occupant[v] = i
+
+    for t in range(T):
+        movers: dict[tuple[str, str], int] = {}
+        for i, ag in enumerate(schedule.agents):
+            u, v = ag.path[t], ag.path[t + 1]
+            if u == v:
+                continue
+            if (v, u) in movers:
+                violations.append(Violation("edge-collision", (movers[(v, u)], i), t))
+            movers[(u, v)] = i
+
+    seen_starts: dict[str, int] = {}
+    seen_goals: dict[str, int] = {}
+    for i, ag in enumerate(schedule.agents):
+        if ag.start in seen_starts:
+            violations.append(Violation("duplicate-start", (seen_starts[ag.start], i), 0))
+        else:
+            seen_starts[ag.start] = i
+        if mode == STRICT:
+            if ag.goal in seen_goals:
+                violations.append(Violation("duplicate-goal", (seen_goals[ag.goal], i), T))
+            else:
+                seen_goals[ag.goal] = i
+
+    violations.sort(key=lambda v: (v.timestep, v.kind, v.agents))
+    return FeasibilityReport(not violations, tuple(violations))
+
+
+def reference_cost_moves(schedule: Schedule) -> int:
+    """Number of (agent, timestep) pairs that traverse an edge, cell by
+    cell: the reference."""
+    total = 0
+    for ag in schedule.agents:
+        p = ag.path
+        total += sum(1 for t in range(len(p) - 1) if p[t] != p[t + 1])
+    return total

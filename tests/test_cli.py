@@ -47,6 +47,18 @@ def test_validate_infeasible_exit_2(tmp_path, capsys):
     assert any(v["kind"] == "edge-collision" for v in report["violations"])
 
 
+def test_repeated_calls_do_not_share_options(tmp_path, capsys):
+    from mapf_collapse import Graph
+
+    # feasible in relaxed mode only: the agent does not end on its goal
+    s = schedule_from_paths([["A", "B"]], goals=["A"])
+    p = tmp_path / "unsolved.json"
+    save_instance(Instance(Graph(["A", "B"], [("A", "B")]), s), str(p))
+    assert run(capsys, "validate", str(p), "--mode", "relaxed")[0] == 0
+    assert run(capsys, "validate", str(p))[0] == 2
+    assert run(capsys, "validate", str(p), "--mode", "relaxed")[0] == 0
+
+
 def test_optimize_gadget(gadget_instance, capsys, tmp_path):
     out_path = str(tmp_path / "opt.json")
     stats_path = str(tmp_path / "stats.json")

@@ -110,6 +110,15 @@ def test_has_edge_unknown_vertex():
         g.has_edge("A", "Z")
 
 
+def test_adjacency_matches_neighbors_and_is_read_only():
+    g = Graph(["A", "B", "C"], [("A", "B"), ("C", "B")])
+    adj = g.adjacency
+    assert {v: sorted(ns) for v, ns in adj.items()} == {v: g.neighbors(v) for v in g.vertices}
+    assert "Z" not in adj
+    with pytest.raises(TypeError):
+        adj["Z"] = frozenset()
+
+
 def test_reduction_graph_edges():
     red = reduce_independent_set(single_edge_graph(), 1)
     g = red.graph

@@ -1,21 +1,39 @@
 """Property tests. Over small seeded rollouts the pipeline's output is
 valid, its saving is the oracle's optimum, and its bound is no lower.
-Over malformed files the CLI exits with its documented code, never a
-traceback."""
+Over mutated schedules validate and cost_moves agree with the per-cell
+references. Over malformed files the CLI exits with its documented
+code, never a traceback."""
 
+import itertools
 import json
 import os
 import random
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapf_collapse import CapExceededError, brute_force_collapse, validate
+from mapf_collapse import (
+    CapExceededError,
+    Graph,
+    Schedule,
+    UnknownVertexError,
+    brute_force_collapse,
+    cost_moves,
+    validate,
+)
 from mapf_collapse.cli import main
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
+from mapf_collapse.schedule import MODES
 
-from helpers import edge_instance_json, random_rollout_instance
+from helpers import (
+    edge_instance_json,
+    random_rollout_instance,
+    reference_cost_moves,
+    reference_validate,
+    schedule_from_paths,
+)
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -41,6 +59,75 @@ def test_pipeline_matches_oracle(seed, size, n_agents, horizon, noise):
     except CapExceededError:
         return
     assert stats["saving"] == oracle.best_saving
+
+
+MUTATIONS = ("same-move", "crowd", "swap", "off-graph", "start", "goal")
+
+
+@st.composite
+def mutated_schedules(draw):
+    """(schedule, graph): random paths on a random graph of 1-5 vertices,
+    or a feasible rollout, then mutations that make several agents take
+    one move at one step, put three or more agents on one vertex, swap
+    two agents, step off the graph, or move a start or a goal. Horizon 0
+    and zero agents are drawn too."""
+    if draw(st.booleans()):
+        names = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+        pairs = list(itertools.combinations(names, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graph = Graph(names, edges)
+        horizon = draw(st.integers(0, 5))
+        position = st.sampled_from(names)
+        paths = [
+            draw(st.lists(position, min_size=horizon + 1, max_size=horizon + 1))
+            for _ in range(draw(st.integers(0, 5)))
+        ]
+    else:
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        n_agents, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        schedule, graph, _ = random_rollout_instance(rng, n_agents=n_agents, horizon=horizon)
+        names = list(graph.vertices)
+        horizon = schedule.horizon  # the rollout may stop before the requested horizon
+        paths = [list(ag.path) for ag in schedule.agents]
+    starts = [p[0] for p in paths]
+    goals = [p[-1] for p in paths]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=4)) if paths else ():
+        i, j = (draw(st.integers(0, len(paths) - 1)) for _ in range(2))
+        t = draw(st.integers(0, horizon))
+        if kind == "same-move" and t < horizon:
+            for k in draw(st.lists(st.integers(0, len(paths) - 1), min_size=1, max_size=3)):
+                paths[k][t : t + 2] = paths[i][t : t + 2]
+        elif kind == "crowd":
+            v = draw(st.sampled_from(names))
+            for k in draw(st.lists(st.integers(0, len(paths) - 1), min_size=3, max_size=5)):
+                paths[k][t] = v
+        elif kind == "swap" and t < horizon:
+            paths[j][t : t + 2] = paths[i][t + 1], paths[i][t]
+        elif kind == "off-graph":
+            paths[i][t] = f"off{t}"
+        elif kind == "start":
+            starts[i] = draw(st.sampled_from(names + ["off-start"]))
+        elif kind == "goal":
+            goals[i] = draw(st.sampled_from(names + ["off-goal"]))
+    if not paths:
+        return Schedule((), horizon), graph
+    return schedule_from_paths(paths, starts, goals), graph
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(case=mutated_schedules())
+def test_validate_and_cost_moves_match_per_cell_reference(case):
+    schedule, graph = case
+    assert cost_moves(schedule) == reference_cost_moves(schedule)
+    for mode in MODES:
+        try:
+            expected = reference_validate(schedule, graph, mode)
+        except UnknownVertexError as exc:
+            with pytest.raises(UnknownVertexError) as raised:
+                validate(schedule, graph, mode)
+            assert raised.value.args == exc.args
+        else:
+            assert validate(schedule, graph, mode).to_json_dict() == expected.to_json_dict()
 
 
 json_values = st.recursive(
