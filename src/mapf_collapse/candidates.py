@@ -2,8 +2,9 @@
 
 A candidate (agent, a, b, x) marks a segment with path[a] == path[b] == x
 that can be rewritten to all-x, saving its interior edge traversals.
-Reduced mode keeps only segment endpoints at maximal constant runs and
-drops zero-saving candidates; exhaustive mode keeps every pair and backs
+Reduced mode emits one candidate per pair of maximal constant runs of
+one agent on x, from the last step of the earlier run to the first step
+of the later one; exhaustive mode keeps every pair of visits and backs
 the brute-force oracle.
 """
 
@@ -35,14 +36,6 @@ class CandidateSet:
     per_agent: dict[int, tuple[int, ...]]
 
 
-def prefix_moves(path: tuple[str, ...]) -> list[int]:
-    """pref[t] = number of moves in path[0..t]; pref[0] = 0."""
-    pref = [0] * len(path)
-    for t in range(len(path) - 1):
-        pref[t + 1] = pref[t] + (1 if path[t] != path[t + 1] else 0)
-    return pref
-
-
 def _runs(path: tuple[str, ...]) -> list[tuple[str, int, int]]:
     """Maximal constant runs as (vertex, first, last)."""
     runs = []
@@ -58,34 +51,31 @@ def _runs(path: tuple[str, ...]) -> list[tuple[str, int, int]]:
 def generate_candidates(schedule: Schedule, mode: str = REDUCED) -> CandidateSet:
     """Enumerate collapse candidates for every agent.
 
-    Exhaustive: every (a, b) pair with a < b and path[a] == path[b],
-    including zero-weight pairs. Reduced: endpoints restricted to the
-    first and last timestep of each maximal constant run, zero-weight
-    pairs dropped.
+    A candidate's weight is the number of moves it removes, (run of b) -
+    (run of a). Exhaustive: every (a, b) pair with a < b and path[a] ==
+    path[b], zero-weight pairs inside one run included. Reduced: per pair
+    of runs on x, only (last step of the earlier run, first step of the
+    later run). Every other pair of steps in those runs saves the same
+    and rewrites the same cells, as the cells inside a run are x already;
+    its wider span conflicts with more and is suitable at the same stays,
+    so the optimum is kept.
     """
     if mode not in GENERATION_MODES:
         raise ValueError(f"mode must be one of {GENERATION_MODES}, got {mode!r}")
     actions: list[CollapseAction] = []
     for i, ag in enumerate(schedule.agents):
-        pref = prefix_moves(ag.path)
-        times: dict[str, list[int]] = {}
-        if mode == EXHAUSTIVE:
-            for t, v in enumerate(ag.path):
-                times.setdefault(v, []).append(t)
-        else:
-            for v, first, last in _runs(ag.path):
-                slot = times.setdefault(v, [])
-                slot.append(first)
-                if last != first:
-                    slot.append(last)
-        for x, ts in sorted(times.items()):
-            for ai in range(len(ts)):
-                for bi in range(ai + 1, len(ts)):
-                    a, b = ts[ai], ts[bi]
-                    w = pref[b] - pref[a]
-                    if mode == REDUCED and w == 0:
-                        continue
-                    actions.append(CollapseAction(i, a, b, x, w))
+        # per vertex: (run index, step as a, step as b) of each usable visit
+        visits: dict[str, list[tuple[int, int, int]]] = {}
+        for r, (v, first, last) in enumerate(_runs(ag.path)):
+            slot = visits.setdefault(v, [])
+            if mode == EXHAUSTIVE:
+                slot.extend((r, t, t) for t in range(first, last + 1))
+            else:
+                slot.append((r, last, first))
+        for x, vs in visits.items():
+            for p, (ra, a, _) in enumerate(vs):
+                for rb, _, b in vs[p + 1 :]:
+                    actions.append(CollapseAction(i, a, b, x, rb - ra))
     actions.sort(key=lambda c: (c.agent, c.a, c.b))
     per_agent: dict[int, list[int]] = {}
     for idx, c in enumerate(actions):

@@ -14,7 +14,6 @@ import random
 import sys
 
 from .bench import rows_to_csv, run_bench
-from .candidates import REDUCED, GENERATION_MODES
 from .errors import (
     CapExceededError,
     ConsistencyError,
@@ -69,7 +68,6 @@ def _write_json(obj, path: str) -> None:
 def _add_optimize_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES, default=STRICT)
     p.add_argument("--aba-filter", choices=("on", "off"), default="on")
-    p.add_argument("--candidates", choices=GENERATION_MODES, default=REDUCED)
     p.add_argument("--time-limit-ms", type=int, default=DEFAULT_TIME_LIMIT_MS)
 
 
@@ -77,7 +75,6 @@ def _config_from(args) -> OptimizeConfig:
     return OptimizeConfig(
         mode=args.mode,
         aba_filter=args.aba_filter == "on",
-        candidates=args.candidates,
         time_limit_ms=args.time_limit_ms,
     )
 

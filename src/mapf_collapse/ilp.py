@@ -22,19 +22,19 @@ component (the Lagrangian bound with all multipliers at zero). A
 component of one agent without explicit constraints is solved by the
 DP alone. A coupled one starts from the empty selection and is proved
 at the root when its bound is 0 or its relaxed optimum is feasible;
-otherwise a presolve fixes to zero every variable that a same-agent,
-same-weight variable with a strictly nested span dominates, and a
-depth-first search on an explicit stack runs. Each node recomputes the
-DP of the agents whose variables changed, is pruned when the bound does
-not beat the incumbent, and is closed when the relaxed optimum violates
-no pair and no implication. Otherwise it branches, 1 first, on the
-first violated constraint: on the heavier end of a cross-agent pair, or
-on the owner of an unmet implication (once the owner is 1, on its
-heaviest undecided suitable member). Same-agent exclusions propagate
-by bisecting the agent's spans sorted by end. The search's first dive
-is also its anytime answer ("diving", Achterberg, Constraint Integer
-Programming, 2007): a deadline stops a component only once it has
-reached a feasible leaf.
+otherwise a depth-first search on an explicit stack runs. Each node
+recomputes the DP of the agents whose variables changed, is pruned when
+the bound does not beat the incumbent, and is closed when the relaxed
+optimum violates no pair and no implication. Otherwise it branches, 1
+first, on the first violated constraint: on the heavier end of a
+cross-agent pair, or on the owner of an unmet implication (once the
+owner is 1, on its heaviest undecided suitable member). Same-agent
+exclusions propagate by bisecting the agent's spans sorted by end. The
+search's first dive is also its anytime answer ("diving", Achterberg,
+Constraint Integer Programming, 2007): a deadline stops a component
+only once it has reached a feasible leaf. There is no dominance
+presolve: no two reduced candidates of one agent have one weight and
+nested spans, so none can stand in for another.
 """
 
 from __future__ import annotations
@@ -270,56 +270,6 @@ class _Agent:
         return [u for u in window if u != v and spans[u][1] <= b]
 
 
-def _dominated(model: IlpModel, comp: list[int]) -> list[int]:
-    """Variables of comp that a free variable renders pointless.
-
-    j dominates i when both have one agent and one weight, j's span is
-    strictly nested in i's, j's cross partners and owned suitable sets
-    are among i's, and j is suitable wherever i is: swapping i for j in
-    any feasible selection stays feasible and saves the same. Run-
-    endpoint candidates over long constant runs produce exactly such
-    variables; without this the search re-proves the same subtree once
-    per variant. Strict nesting orders dominance, so fixing every
-    dominated variable at once keeps an optimum.
-
-    The implications that list a variable of comp are found from the
-    ones its members own: an implication with a free owner joins the
-    owner's component with every free member, so only this component's
-    member sets are walked.
-    """
-    weights, spans, implications = model.weights, model.spans, model.implications
-    partners, owned = model.links
-    groups: dict[tuple[int, int], list[int]] = {}
-    member_of: dict[int, list[int]] = {v: [] for v in comp}
-    for v in comp:
-        groups.setdefault((spans[v][0], weights[v]), []).append(v)
-        for imp in owned[v]:
-            for s in implications[imp][1]:
-                if s in member_of:
-                    member_of[s].append(imp)
-
-    def dominates(j: int, i: int) -> bool:
-        return (
-            set(partners[j]) <= set(partners[i])
-            and {implications[imp][1] for imp in owned[j]} <= {implications[imp][1] for imp in owned[i]}
-            and set(member_of[i]) <= set(member_of[j])
-        )
-
-    fixed = []
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        group.sort(key=lambda i: (spans[i][1], spans[i][2], i))
-        starts = [spans[i][1] for i in group]
-        for i in group:
-            _, a, b = spans[i]
-            for j in group[bisect_left(starts, a) : bisect_right(starts, b)]:
-                if spans[j][2] <= b and spans[j][1:] != (a, b) and dominates(j, i):
-                    fixed.append(i)
-                    break
-    return fixed
-
-
 def _solve_component(
     model: IlpModel,
     comp: list[int],
@@ -450,8 +400,6 @@ def _solve_component(
     if branch == FEASIBLE:
         return relaxed, True, 1, root_bound
 
-    for v in _dominated(model, comp):
-        assign(v, ZERO)
     nodes = 1
     frames: list[tuple[int, int, int]] = []  # (variable, trail mark, saved mark) of each open 0-branch
     consistent = True

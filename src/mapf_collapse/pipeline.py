@@ -12,13 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .candidates import (
-    REDUCED,
-    GENERATION_MODES,
-    CandidateSet,
-    aba_prefilter_detailed,
-    generate_candidates,
-)
+from .candidates import CandidateSet, aba_prefilter_detailed, generate_candidates
 from .errors import InfeasibleInputError
 from .graph import Graph
 from .ilp import (
@@ -38,18 +32,12 @@ DEFAULT_TIME_LIMIT_MS = 5000
 class OptimizeConfig:
     mode: str = STRICT
     aba_filter: bool = True
-    candidates: str = REDUCED
     time_limit_ms: int = DEFAULT_TIME_LIMIT_MS
-
-    def __post_init__(self):
-        if self.candidates not in GENERATION_MODES:
-            raise ValueError(f"candidates must be one of {GENERATION_MODES}")
 
     def to_json_dict(self) -> dict:
         return {
             "mode": self.mode,
             "aba_filter": self.aba_filter,
-            "candidates": self.candidates,
             "time_limit_ms": self.time_limit_ms,
         }
 
@@ -91,7 +79,7 @@ def optimize_schedule(
     aba_removed = cost_before - cost_moves(working)
 
     t_build = time.monotonic()
-    cands = generate_candidates(working, config.candidates)
+    cands = generate_candidates(working)
     rel = build_relations(working, cands)
     model = build_model(rel, cands)
     build_time = time.monotonic() - t_build
@@ -99,7 +87,8 @@ def optimize_schedule(
     solution = solve_exact(model, config.time_limit_ms / 1000.0)
     final = apply_solution(working, cands, solution, graph, config.mode)
 
-    cost_after = cost_moves(final)
+    # apply_solution checked that the selection removed exactly solution.saving moves
+    cost_after = cost_before - aba_removed - solution.saving
     total_time = time.monotonic() - t_start
     stats = {
         "config": config.to_json_dict(),

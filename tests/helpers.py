@@ -293,9 +293,14 @@ def eager_overlaps(model):
 
 
 def pairwise_dominated(model, comp):
-    """Variables of comp that _dominated must fix, by testing every pair
-    against implication memberships collected over the whole model: the
-    reference."""
+    """Variables of comp that another variable of comp dominates, by
+    testing every pair against implication memberships collected over
+    the whole model.
+
+    j dominates i when both have one agent and one weight, j's span is
+    strictly nested in i's, j's cross partners and owned suitable sets
+    are among i's, and j is suitable wherever i is: swapping i for j in
+    any feasible selection stays feasible and saves the same."""
     weights, spans, implications = model.weights, model.spans, model.implications
     partners = {v: set() for v in range(model.n_vars)}
     for a, b in model.explicit_mutex:

@@ -20,7 +20,7 @@ from mapf_collapse import (
     validate,
 )
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
-from mapf_collapse.ilp import CollapseSolution, _Agent, _components, _dominated
+from mapf_collapse.ilp import CollapseSolution, _Agent, _components
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
@@ -333,8 +333,9 @@ def test_lazy_pair_lists_match_eager_sweep():
         assert rel.exclusions_in == eager_exclusions_in(cands)
         assert rel.to_json_dict()["mutex_in"] == [list(p) for p in eager_exclusions_in(cands)]
         assert model.mutex == reference
-        config = OptimizeConfig(mode="relaxed", aba_filter=False, candidates=mode)
-        result = optimize_schedule(s, g, config)
+        if mode != REDUCED:
+            continue
+        result = optimize_schedule(s, g, OptimizeConfig(mode="relaxed", aba_filter=False))
         assert "mutex" not in result.model.__dict__
         assert "exclusions_in" not in result.relations.__dict__
         assert result.stats["n_mutex"] == len(reference)
@@ -460,26 +461,15 @@ def test_agent_overlapping_matches_scan():
             assert sorted(agent.overlapping(v)) == sorted(expected)
 
 
-def test_presolve_keeps_innermost_run_endpoint_variant():
-    g = Graph(["A", "B"], [("A", "B")])
+def test_run_pair_gives_only_the_innermost_candidate():
     s = schedule_from_paths([["A", "A", "B", "A", "A"]])
     cands = generate_candidates(s, REDUCED)
     model = build_model(build_relations(s, cands), cands)
-    spans = {model.spans[i][1:]: i for i in model.free()}
-    assert set(spans) == {(0, 3), (0, 4), (1, 3), (1, 4)}
-    fixed = _dominated(model, model.free())
-    assert sorted(fixed) == sorted(spans[k] for k in [(0, 3), (0, 4), (1, 4)])
+    assert [model.spans[i][1:] for i in model.free()] == [(1, 3)]
     assert solve_exact(model, 5.0).saving == 2
 
 
-def test_presolve_keeps_outer_span_that_serves_an_implication():
-    spans = [(0, 0, 4), (0, 1, 3), (1, 0, 4)]
-    served = two_agent_model([2, 2, 1], [], [(2, (0,))], spans)
-    assert _dominated(served, [0, 1, 2]) == []
-    assert _dominated(two_agent_model([2, 2, 1], [], [], spans), [0, 1, 2]) == [0]
-
-
-# ------------------------------------------ components and presolve references
+# ------------------------------------------ components and dominance references
 
 
 def crowded_models(mode):
@@ -516,22 +506,10 @@ def test_implication_over_two_agents_is_one_component():
     assert _components(model) == [([0, 1, 2, 3], True)] == all_members_components(model)
 
 
-def test_presolve_matches_pairwise_reference():
-    fixed = 0
+def test_reduced_models_have_no_dominated_variable():
     for model in itertools.chain(crowded_models(REDUCED), reduction_models()):
         for comp, _ in _components(model):
-            found = sorted(_dominated(model, comp))
-            assert found == pairwise_dominated(model, comp)
-            fixed += len(found)
-    assert fixed > 0
-
-
-def test_presolve_reads_every_owned_implication():
-    # 0 is the only member of the second implication that 2 owns, so the
-    # nested 1 cannot stand in for it
-    spans = [(0, 0, 4), (0, 1, 3), (1, 0, 4), (2, 0, 4)]
-    model = two_agent_model([2, 2, 1, 1], [], [(2, (3,)), (2, (0,))], spans)
-    assert _dominated(model, [0, 1, 2, 3]) == [] == pairwise_dominated(model, [0, 1, 2, 3])
+            assert pairwise_dominated(model, comp) == []
 
 
 def branching_model():
