@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import contains, ne
 
 from .errors import InstanceFormatError, UnsupportedScheduleError
@@ -209,51 +210,79 @@ def agent_density(schedule: Schedule, grid: GridMap, fov: int = 11) -> float:
 
     For every (agent, timestep) pair, count the agents inside the
     fov x fov window centered on the agent (the agent itself included,
-    window clipped at the map borders) and divide by the number of free
-    cells inside the clipped window. Returns the mean over all pairs.
+    agents sharing a cell counted once each, window clipped at the map
+    borders) and divide by the number of free cells inside the clipped
+    window. Returns the mean over all pairs. A path vertex that is not a
+    free cell of the grid raises UnsupportedScheduleError.
+
+    Each timestep's agents form one occupancy bit set over the map, so
+    a count is one AND with a column band and one popcount; agents on
+    the same row share the cut-out of their row band. Each visited
+    cell's free-cell count is one popcount, computed once. The extra
+    memory is one band mask per map row and per map column, whatever the
+    number of visited cells. The quotients are added one by one in
+    (timestep, agent) order, so the value is the same float as a
+    pairwise count gives.
     """
     if fov < 1 or fov % 2 == 0:
         raise ValueError(f"fov must be odd and positive, got {fov}")
     if not schedule.agents:
         return 0.0
     half = fov // 2
-    cells: list[list[tuple[int, int]]] = []
-    for ag in schedule.agents:
-        row = []
-        for v in ag.path:
-            rc = parse_cell(v)
-            if rc is None:
-                raise UnsupportedScheduleError(f"vertex {v!r} is not a grid cell")
-            row.append(rc)
-        cells.append(row)
-
-    # 2-D prefix sums over free cells for O(1) window denominators.
     H, W = grid.height, grid.width
-    pref = [[0] * (W + 1) for _ in range(H + 1)]
-    for r in range(H):
-        row_pref = pref[r + 1]
-        prev = pref[r]
-        for c in range(W):
-            row_pref[c + 1] = (
-                row_pref[c] + prev[c + 1] - prev[c] + (1 if grid.is_free(r, c) else 0)
-            )
+    # Bit W*r + c of a map bit set stands for cell (r, c). The rows of the
+    # window around row r are cut out by shifting the set down by
+    # shift[r] and masking with row_band[r]; col_band[c] then keeps the
+    # window's columns around column c.
+    shift = [W * max(0, r - half) for r in range(H)]
+    row_band = [(1 << W * min(H, r + half + 1) - shift[r]) - 1 for r in range(H)]
+    every_row = sum(1 << W * r for r in range(min(H, fov)))
+    col_band = [
+        (((1 << min(W, c + half + 1) - max(0, c - half)) - 1) << max(0, c - half)) * every_row
+        for c in range(W)
+    ]
+    free_in_row = [(1 << W) - 1] * H
+    for r, c in grid.blocked:
+        free_in_row[r] ^= 1 << c
+    free = sum(bits << W * r for r, bits in enumerate(free_in_row))
 
-    def free_in(r0: int, r1: int, c0: int, c1: int) -> int:
-        return pref[r1 + 1][c1 + 1] - pref[r0][c1 + 1] - pref[r1 + 1][c0] + pref[r0][c0]
+    # Per visited vertex: the index of its bit, and its row, its column
+    # and the number of free cells in its window.
+    index: dict[str, int] = {}
+    window: dict[str, tuple[int, int, int]] = {}
+    for v in dict.fromkeys(chain.from_iterable(ag.path for ag in schedule.agents)):
+        rc = parse_cell(v)
+        if rc is None:
+            raise UnsupportedScheduleError(f"vertex {v!r} is not a grid cell")
+        r, c = rc
+        if not grid.is_free(r, c):
+            raise UnsupportedScheduleError(f"vertex {v!r} is not a free cell of the {H}x{W} map")
+        index[v] = W * r + c
+        window[v] = (r, c, ((free >> shift[r]) & row_band[r] & col_band[c]).bit_count())
 
     total = 0.0
-    count = 0
-    T = schedule.horizon
-    for t in range(T + 1):
-        positions = [cells[i][t] for i in range(len(cells))]
-        for r, c in positions:
-            r0, r1 = max(0, r - half), min(H - 1, r + half)
-            c0, c1 = max(0, c - half), min(W - 1, c + half)
-            inside = sum(1 for (ar, ac) in positions if r0 <= ar <= r1 and c0 <= ac <= c1)
-            denom = free_in(r0, r1, c0, c1)
-            total += inside / denom
-            count += 1
-    return total / count
+    n = len(schedule.agents)
+    for column in zip(*(ag.path for ag in schedule.agents)):
+        occupied = set(column)
+        occupancy = sum(map((1).__lshift__, map(index.__getitem__, occupied)))
+        # occupancy is the first layer; a cell held by k agents also sets
+        # its bit in the next k - 1 layers.
+        stacked = []
+        if len(occupied) < n:
+            held = Counter(column)
+            for depth in range(2, max(held.values()) + 1):
+                stacked.append(sum(1 << index[v] for v, k in held.items() if k >= depth))
+        in_row: dict[int, int] = {}
+        for v in column:
+            r, c, free_cells = window[v]
+            banded = in_row.get(r)
+            if banded is None:
+                banded = in_row[r] = (occupancy >> shift[r]) & row_band[r]
+            inside = (banded & col_band[c]).bit_count()
+            for layer in stacked:
+                inside += ((layer >> shift[r]) & row_band[r] & col_band[c]).bit_count()
+            total += inside / free_cells
+    return total / (n * (schedule.horizon + 1))
 
 
 @dataclass(frozen=True)

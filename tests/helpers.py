@@ -13,10 +13,12 @@ from mapf_collapse import (
     IlpModel,
     PlanRequest,
     Schedule,
+    UnsupportedScheduleError,
     grid_to_graph,
     noisy_rollout,
 )
 from mapf_collapse.candidates import EXHAUSTIVE, generate_candidates
+from mapf_collapse.graph import parse_cell
 from mapf_collapse.reduction import reduce_independent_set
 from mapf_collapse.schedule import STRICT, FeasibilityReport, Violation, _check_mode
 
@@ -400,3 +402,56 @@ def reference_cost_moves(schedule: Schedule) -> int:
         p = ag.path
         total += sum(1 for t in range(len(p) - 1) if p[t] != p[t + 1])
     return total
+
+
+def reference_agent_density(schedule: Schedule, grid: GridMap, fov: int = 11) -> float:
+    """agent_density by comparing every pair of agents at every
+    timestep, with a prefix-sum table of free cells: the reference.
+
+    For every (agent, timestep) pair, count the agents inside the
+    fov x fov window centered on the agent (the agent itself included,
+    window clipped at the map borders) and divide by the number of free
+    cells inside the clipped window. Returns the mean over all pairs.
+    """
+    if fov < 1 or fov % 2 == 0:
+        raise ValueError(f"fov must be odd and positive, got {fov}")
+    if not schedule.agents:
+        return 0.0
+    half = fov // 2
+    cells: list[list[tuple[int, int]]] = []
+    for ag in schedule.agents:
+        row = []
+        for v in ag.path:
+            rc = parse_cell(v)
+            if rc is None:
+                raise UnsupportedScheduleError(f"vertex {v!r} is not a grid cell")
+            row.append(rc)
+        cells.append(row)
+
+    # 2-D prefix sums over free cells for O(1) window denominators.
+    H, W = grid.height, grid.width
+    pref = [[0] * (W + 1) for _ in range(H + 1)]
+    for r in range(H):
+        row_pref = pref[r + 1]
+        prev = pref[r]
+        for c in range(W):
+            row_pref[c + 1] = (
+                row_pref[c] + prev[c + 1] - prev[c] + (1 if grid.is_free(r, c) else 0)
+            )
+
+    def free_in(r0: int, r1: int, c0: int, c1: int) -> int:
+        return pref[r1 + 1][c1 + 1] - pref[r0][c1 + 1] - pref[r1 + 1][c0] + pref[r0][c0]
+
+    total = 0.0
+    count = 0
+    T = schedule.horizon
+    for t in range(T + 1):
+        positions = [cells[i][t] for i in range(len(cells))]
+        for r, c in positions:
+            r0, r1 = max(0, r - half), min(H - 1, r + half)
+            c0, c1 = max(0, c - half), min(W - 1, c + half)
+            inside = sum(1 for (ar, ac) in positions if r0 <= ar <= r1 and c0 <= ac <= c1)
+            denom = free_in(r0, r1, c0, c1)
+            total += inside / denom
+            count += 1
+    return total / count

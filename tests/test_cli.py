@@ -386,6 +386,24 @@ def test_bench_list_valued_vertex_is_one_error_row(tmp_path, capsys):
     assert json.loads(out)["errors"] == 1
 
 
+def test_bench_off_map_vertex_leaves_density_blank(tmp_path, capsys):
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "m.map").write_text(TINY_MAP)
+    for name, vertex in (("far", "r40c0"), ("next", "r4c0")):
+        agent = {"name": "a0", "start": "r3c0", "goal": "r3c0", "path": ["r3c0", vertex, "r3c0"]}
+        data = {"graph": {"map_file": "m.map"}, "horizon": 2, "agents": [agent]}
+        (bench_dir / f"{name}.json").write_text(json.dumps(data))
+    out_csv = str(tmp_path / "offmap.csv")
+    code, out = run(capsys, "bench", str(bench_dir), "--out", out_csv)
+    assert code == 0
+    assert json.loads(out)["errors"] == 2
+    rows = {r["instance_id"]: r for r in read_rows(out_csv)}
+    assert rows["far"]["error"] == "UnknownVertexError: 'r40c0'"
+    assert rows["next"]["error"] == "UnknownVertexError: 'r4c0'"
+    assert rows["far"]["agent_density"] == rows["next"]["agent_density"] == ""
+
+
 def strip_timing_columns(path):
     rows = read_rows(path)
     for r in rows:

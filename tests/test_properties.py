@@ -1,8 +1,9 @@
 """Property tests. Over small seeded rollouts the pipeline's output is
 valid, its saving is the oracle's optimum, and its bound is no lower.
 Over mutated schedules validate and cost_moves agree with the per-cell
-references. Over malformed files the CLI exits with its documented
-code, never a traceback."""
+references, and over crowded grid schedules agent_density equals the
+pairwise reference to the bit. Over malformed files the CLI exits with
+its documented code, never a traceback."""
 
 import itertools
 import json
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 from mapf_collapse import (
     CapExceededError,
     Graph,
+    GridMap,
     Schedule,
     UnknownVertexError,
+    agent_density,
     brute_force_collapse,
+    cell_name,
     cost_moves,
     validate,
 )
@@ -30,6 +34,7 @@ from mapf_collapse.schedule import MODES
 from helpers import (
     edge_instance_json,
     random_rollout_instance,
+    reference_agent_density,
     reference_cost_moves,
     reference_validate,
     schedule_from_paths,
@@ -128,6 +133,35 @@ def test_validate_and_cost_moves_match_per_cell_reference(case):
             assert raised.value.args == exc.args
         else:
             assert validate(schedule, graph, mode).to_json_dict() == expected.to_json_dict()
+
+
+@st.composite
+def density_cases(draw):
+    """(schedule, grid, fov): 1-9 agents on a grid of 1-14 cells per side
+    with about 20% of its cells blocked, horizon 0-8. Every position is
+    drawn from a few free cells, so agents often share one. fov 11 and
+    13 give windows larger than the smaller maps."""
+    height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    cells = [(r, c) for r in range(height) for c in range(width)]
+    blocked = {rc for rc in cells[1:] if rng.random() < 0.2}  # cells[0] stays free
+    free = [cell_name(r, c) for r, c in cells if (r, c) not in blocked]
+    pool = draw(st.lists(st.sampled_from(free), min_size=1, max_size=12))
+    horizon = draw(st.integers(0, 8))
+    position = st.sampled_from(pool)
+    paths = [
+        draw(st.lists(position, min_size=horizon + 1, max_size=horizon + 1))
+        for _ in range(draw(st.integers(1, 9)))
+    ]
+    fov = draw(st.sampled_from([1, 3, 5, 11, 13]))
+    return schedule_from_paths(paths), GridMap(height, width, frozenset(blocked)), fov
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(case=density_cases())
+def test_agent_density_equals_pairwise_reference(case):
+    schedule, grid, fov = case
+    assert agent_density(schedule, grid, fov) == reference_agent_density(schedule, grid, fov)
 
 
 json_values = st.recursive(

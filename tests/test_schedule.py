@@ -205,6 +205,20 @@ def test_agent_density_corner_clip():
     assert agent_density(s, grid) == pytest.approx(1 / 36)
 
 
+def test_agent_density_counts_agents_sharing_a_cell_once_each():
+    grid = open_grid(32, 32)
+    s = schedule_from_paths([["r16c16"], ["r16c16"], ["r16c17"]])
+    assert agent_density(s, grid) == pytest.approx(3 / 121)
+
+
+@pytest.mark.parametrize("vertex", ["r4c0", "r40c0", "r0c4", "r1c1"])
+def test_agent_density_rejects_vertex_that_is_not_a_free_cell(vertex):
+    grid = GridMap(4, 4, frozenset({(1, 1)}))
+    s = schedule_from_paths([["r0c0", vertex, "r0c0"]])
+    with pytest.raises(UnsupportedScheduleError, match=vertex):
+        agent_density(s, grid)
+
+
 def test_agent_density_rejects_abstract_schedule():
     s = schedule_from_paths([["A", "A"]])
     with pytest.raises(UnsupportedScheduleError):
