@@ -5,14 +5,16 @@ that can be rewritten to all-x, saving its interior edge traversals.
 Reduced mode emits one candidate per pair of maximal constant runs of
 one agent on x, from the last step of the earlier run to the first step
 of the later one; exhaustive mode keeps every pair of visits and backs
-the brute-force oracle.
+the brute-force oracle. Runs and the ABA prefilter's A,B,A triples are
+read from each path's move steps, which the caller may pass in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .schedule import Schedule
+from .schedule import AgentRecord, Run, Schedule, move_steps, path_runs
 
 REDUCED = "reduced"
 EXHAUSTIVE = "exhaustive"
@@ -36,20 +38,13 @@ class CandidateSet:
     per_agent: dict[int, tuple[int, ...]]
 
 
-def _runs(path: tuple[str, ...]) -> list[tuple[str, int, int]]:
-    """Maximal constant runs as (vertex, first, last)."""
-    runs = []
-    start = 0
-    for t in range(1, len(path)):
-        if path[t] != path[start]:
-            runs.append((path[start], start, t - 1))
-            start = t
-    runs.append((path[start], start, len(path) - 1))
-    return runs
-
-
-def generate_candidates(schedule: Schedule, mode: str = REDUCED) -> CandidateSet:
+def generate_candidates(
+    schedule: Schedule, mode: str = REDUCED, runs: list[list[Run]] | None = None
+) -> CandidateSet:
     """Enumerate collapse candidates for every agent.
+
+    runs[i] may give agent i's constant runs (schedule.path_runs); they
+    are found from the paths when it is not given.
 
     A candidate's weight is the number of moves it removes, (run of b) -
     (run of a). Exhaustive: every (a, b) pair with a < b and path[a] ==
@@ -62,11 +57,13 @@ def generate_candidates(schedule: Schedule, mode: str = REDUCED) -> CandidateSet
     """
     if mode not in GENERATION_MODES:
         raise ValueError(f"mode must be one of {GENERATION_MODES}, got {mode!r}")
+    if runs is None:
+        runs = [path_runs(ag.path, move_steps(ag.path)) for ag in schedule.agents]
     actions: list[CollapseAction] = []
-    for i, ag in enumerate(schedule.agents):
+    for i, agent_runs in enumerate(runs):
         # per vertex: (run index, step as a, step as b) of each usable visit
         visits: dict[str, list[tuple[int, int, int]]] = {}
-        for r, (v, first, last) in enumerate(_runs(ag.path)):
+        for r, (v, first, last) in enumerate(agent_runs):
             slot = visits.setdefault(v, [])
             if mode == EXHAUSTIVE:
                 slot.extend((r, t, t) for t in range(first, last + 1))
@@ -101,6 +98,7 @@ def collapse_paths(schedule: Schedule, actions) -> Schedule:
 def aba_prefilter_detailed(
     schedule: Schedule,
     max_passes: int = ABA_DEFAULT_MAX_PASSES,
+    moves: Sequence[list[int]] | None = None,
 ) -> tuple[Schedule, int]:
     """Rewrite A,B,A position triples to A,A,A where no collision results.
 
@@ -109,35 +107,59 @@ def aba_prefilter_detailed(
     another agent occupies A at the middle timestep in the current,
     partially rewritten schedule. Rewrites only remove moves, so no edge
     collision can be introduced. Returns the filtered schedule and the
-    number of passes executed (fixpoint pass included).
-    """
-    T = schedule.horizon
-    paths = [list(ag.path) for ag in schedule.agents]
-    # occupancy[t] = multiset of vertices occupied at t, as counts
-    occupancy: list[dict[str, int]] = [dict() for _ in range(T + 1)]
-    for row in paths:
-        for t, v in enumerate(row):
-            occupancy[t][v] = occupancy[t].get(v, 0) + 1
+    number of passes executed (fixpoint pass included); agents whose
+    path is not rewritten keep their AgentRecord.
 
+    A triple is two consecutive moves s, s + 1 of one agent with
+    path[s] == path[s + 2], found from the move steps (moves[i] may give
+    agent i's, as in validate's report). A rewrite makes its cell equal
+    to both neighbours, so it never creates a triple: each pass re-checks
+    only the triples left from the pass before, in the same order a scan
+    over every cell would meet them. The occupants at a timestep are one
+    list over all agents, built when a triple there is first checked;
+    cells at a timestep change only by a rewrite there, after that list
+    exists, so it is kept current by writing each rewrite into it.
+    """
+    agents = schedule.agents
+    if moves is None:
+        moves = [move_steps(ag.path) for ag in agents]
+    # per agent with a triple: (index, path as a list, middle steps of its triples)
+    pending: list[tuple[int, list[str], list[int]]] = []
+    for i, (ag, steps) in enumerate(zip(agents, moves)):
+        p = ag.path
+        mids = [s + 1 for s, nxt in zip(steps, steps[1:]) if nxt == s + 1 and p[s] == p[s + 2]]
+        if mids:
+            pending.append((i, list(p), mids))
+
+    columns: dict[int, list[str]] = {}
+    rewritten: set[int] = set()
     passes = 0
     while passes < max_passes:
         passes += 1
         changed = False
-        for i, row in enumerate(paths):
-            for t in range(1, T):
+        for i, row, mids in pending:
+            blocked = []
+            for t in mids:
                 a = row[t - 1]
                 if row[t + 1] != a or row[t] == a:
+                    continue  # a rewrite next to it removed this triple
+                column = columns.get(t)
+                if column is None:
+                    column = columns[t] = [ag.path[t] for ag in agents]
+                if a in column:
+                    blocked.append(t)  # someone else sits at A right now
                     continue
-                occ = occupancy[t]
-                if occ.get(a, 0) > 0:
-                    continue  # someone else sits at A right now
-                b = row[t]
-                occ[b] -= 1
-                if occ[b] == 0:
-                    del occ[b]
-                occ[a] = occ.get(a, 0) + 1
-                row[t] = a
+                column[i] = row[t] = a
+                rewritten.add(i)
                 changed = True
+            mids[:] = blocked
         if not changed:
             break
-    return schedule.with_paths(paths), passes
+    if not rewritten:
+        return schedule, passes
+    out = list(agents)
+    for i, row, _ in pending:
+        if i in rewritten:
+            ag = agents[i]
+            out[i] = AgentRecord(ag.name, ag.start, ag.goal, tuple(row))
+    return Schedule(tuple(out), schedule.horizon), passes

@@ -23,7 +23,7 @@ from .errors import (
     PlanningError,
     UnknownVertexError,
 )
-from .graph import grid_to_graph, load_map
+from .graph import grid_to_graph
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_force_collapse
 from .pipeline import DEFAULT_TIME_LIMIT_MS, OptimizeConfig, optimize_schedule
 from .planner import RNG_NAME, PlanRequest, noisy_rollout, prioritized_plan
@@ -37,6 +37,7 @@ from .schedule import (
     isr,
     load_instance,
     load_json,
+    read_map_file,
     save_instance,
     validate,
 )
@@ -170,8 +171,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    with open(args.map, "r", encoding="utf-8") as fh:
-        grid = load_map(fh.read())
+    grid = read_map_file(args.map)
     graph = grid_to_graph(grid)
     free = [f"r{r}c{c}" for r, c in grid.free_cells()]
     if args.agents < 1 or 2 * args.agents > len(free):

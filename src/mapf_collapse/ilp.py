@@ -43,12 +43,13 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
 from .candidates import CandidateSet, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
-from .relations import RelationSet, Span, chain_pairs, count_chain_pairs, overlap_chains
-from .schedule import Schedule, cost_moves, validate
+from .relations import RelationSet, Span, chain_pairs, overlap_chains
+from .schedule import FeasibilityReport, Schedule, cost_moves, validate
 
 
 @dataclass(frozen=True, init=False)
@@ -88,7 +89,7 @@ class IlpModel:
     @cached_property
     def chains(self) -> list[list[int]]:
         """The free variables' overlap chains (relations.overlap_chains):
-        swept once, read by mutex, n_mutex and the component split."""
+        swept once, read by mutex and the component split."""
         return overlap_chains(self.spans, self.free())
 
     @cached_property
@@ -100,12 +101,6 @@ class IlpModel:
         if not within:
             return self.explicit_mutex
         return tuple(sorted(within + list(self.explicit_mutex)))
-
-    @cached_property
-    def n_mutex(self) -> int:
-        """len(self.mutex), counted without listing the pairs."""
-        within = sum(count_chain_pairs(self.spans, chain) for chain in self.chains)
-        return within + len(self.explicit_mutex)
 
     @cached_property
     def links(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -136,6 +131,7 @@ class CollapseSolution:
     n_components: int = 0
     n_components_proved: int = 0
     upper_bound: int = 0  # no selection saves more; equals saving iff optimal
+    n_mutex: int = 0  # len(model.mutex), counted from the solve's per-agent spans
 
 
 def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
@@ -231,6 +227,8 @@ class _Agent:
         self.ends = [spans[i][2] for i in self.items]
         # before[p]: how many items end before items[p] starts
         self.before = [bisect_left(self.ends, spans[i][1]) for i in self.items]
+        # each earlier item that does not end before items[p] starts overlaps it
+        self.n_overlaps = sum(map(sub, range(len(self.before)), self.before))
         self.longest = max(spans[i][2] - spans[i][1] for i in members)
 
     def solve(self, val: list[int]) -> tuple[int, list[int]]:
@@ -275,8 +273,9 @@ def _solve_component(
     comp: list[int],
     val: list[int],
     deadline: float | None,
-) -> tuple[list[int], bool, int, int]:
-    """Exact search on one component: (selected, proved, nodes, bound).
+) -> tuple[list[int], bool, int, int, int]:
+    """Exact search on one component: (selected, proved, nodes, bound,
+    same-agent overlapping pairs).
 
     The empty selection is the first incumbent. The deadline is read
     only once the search has reached a feasible leaf, so a component it
@@ -300,6 +299,7 @@ def _solve_component(
     for v in comp:
         by_agent.setdefault(spans[v][0], []).append(v)
     agents = {agent: _Agent(members, model) for agent, members in by_agent.items()}
+    overlaps = sum(agent.n_overlaps for agent in agents.values())
 
     # relax() keeps each agent's DP result in cache and recomputes the
     # agents in dirty; undo() restores the results saved before a change
@@ -396,9 +396,9 @@ def _solve_component(
     best_saving = 0
     root_bound, relaxed, branch = evaluate()
     if branch == PRUNED:  # nothing is 1 at the root: the bound is 0
-        return best, True, 1, 0
+        return best, True, 1, 0, overlaps
     if branch == FEASIBLE:
-        return relaxed, True, 1, root_bound
+        return relaxed, True, 1, root_bound, overlaps
 
     nodes = 1
     frames: list[tuple[int, int, int]] = []  # (variable, trail mark, saved mark) of each open 0-branch
@@ -424,7 +424,7 @@ def _solve_component(
         undo(mark, saved_mark)
         consistent = assign(branch, ZERO)
     proved = completed or best_saving == root_bound
-    return best, proved, nodes, best_saving if proved else root_bound
+    return best, proved, nodes, best_saving if proved else root_bound, overlaps
 
 
 def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolution:
@@ -436,8 +436,10 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
     and, unless that proves it, a search that runs at least until its
     first feasible leaf; the deadline stops it only after that. optimal
     is True iff every component was proved; upper_bound adds up each
-    component's proved optimum or root bound. Deterministic: fixed
-    component and variable order, first-found tie-breaking.
+    component's proved optimum or root bound. n_mutex adds the explicit
+    pairs to the same-agent overlaps that each agent's interval DP
+    counts from its spans. Deterministic: fixed component and variable
+    order, first-found tie-breaking.
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
@@ -448,16 +450,19 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
 
     selected: list[int] = []
     nodes = proved = upper_bound = 0
+    n_mutex = len(model.explicit_mutex)
     for comp, coupled in comps:
         if coupled:
-            chosen, done, explored, bound = _solve_component(model, comp, val, deadline)
+            chosen, done, explored, bound, overlaps = _solve_component(model, comp, val, deadline)
         else:
-            bound, chosen = _Agent(comp, model).solve(val)
-            done, explored = True, 0
+            agent = _Agent(comp, model)
+            bound, chosen = agent.solve(val)
+            done, explored, overlaps = True, 0, agent.n_overlaps
         selected.extend(chosen)
         nodes += explored
         proved += done
         upper_bound += bound
+        n_mutex += overlaps
 
     return CollapseSolution(
         frozenset(selected),
@@ -468,6 +473,7 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
         n_components=len(comps),
         n_components_proved=proved,
         upper_bound=upper_bound,
+        n_mutex=n_mutex,
     )
 
 
@@ -486,12 +492,16 @@ def apply_solution(
     solution: CollapseSolution,
     graph: Graph,
     mode: str = "strict",
-) -> Schedule:
+    cost: int | None = None,
+) -> tuple[Schedule, FeasibilityReport]:
     """Apply the selected collapses and re-validate the result.
 
-    A validation failure or a saving mismatch here means the relation
-    builder or solver violated its contract, so it raises instead of
-    returning a bad schedule.
+    Returns the result and its validation report, whose moves give the
+    result's move count and settle times. cost is the schedule's move
+    count, counted from its paths when not given. A validation failure
+    or a saving mismatch here means the relation builder or solver
+    violated its contract, so it raises instead of returning a bad
+    schedule.
     """
     chosen = [candidates.actions[i] for i in sorted(solution.selected)]
     result = collapse_paths(schedule, chosen)
@@ -500,9 +510,11 @@ def apply_solution(
         raise ConsistencyError(
             f"applied solution is infeasible, first violation: {report.violations[0]}"
         )
-    removed = cost_moves(schedule) - cost_moves(result)
+    if cost is None:
+        cost = cost_moves(schedule)
+    removed = cost - sum(map(len, report.moves))
     if removed != solution.saving:
         raise ConsistencyError(
             f"saving accounting mismatch: schedule lost {removed} moves, solver claimed {solution.saving}"
         )
-    return result
+    return result, report

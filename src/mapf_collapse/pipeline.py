@@ -5,6 +5,13 @@ runs the ABA prefilter, generates candidates, builds relations and the
 0/1 model, solves, applies the selection, and re-validates. Reported
 cost/SoC deltas always compare the original input against the final
 output, so the prefilter's removals are part of the saving.
+
+Each path's move steps are found once per call, by the input's
+validation, and every stage reads them: the move counts and settle
+times, the prefilter's triples, and the constant runs that candidates
+and relations share. Only the paths the prefilter rewrites are stepped
+again, and the output's moves come from its own validation in
+apply_solution. Nothing is kept on the caller's schedule.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .ilp import (
     solve_exact,
 )
 from .relations import RelationSet, build_relations
-from .schedule import STRICT, Schedule, cost_moves, isr, soc, validate
+from .schedule import STRICT, Schedule, isr, move_steps, path_runs, soc_from_moves, validate
 
 DEFAULT_TIME_LIMIT_MS = 5000
 
@@ -68,27 +75,37 @@ def optimize_schedule(
     if not report.feasible:
         raise InfeasibleInputError(report)
 
-    cost_before = cost_moves(schedule)
-    soc_before = soc(schedule)
+    moves = report.moves
+    cost_before = sum(map(len, moves))
+    soc_before = soc_from_moves(schedule, moves)
     isr_before = isr(schedule)
 
     working = schedule
     aba_passes = 0
     if config.aba_filter:
-        working, aba_passes = aba_prefilter_detailed(schedule)
-    aba_removed = cost_before - cost_moves(working)
+        working, aba_passes = aba_prefilter_detailed(schedule, moves=moves)
+        moves = [
+            steps if ag is before else move_steps(ag.path)
+            for steps, ag, before in zip(moves, working.agents, schedule.agents)
+        ]
+    cost_working = sum(map(len, moves))
+    aba_removed = cost_before - cost_working
 
     t_build = time.monotonic()
-    cands = generate_candidates(working)
-    rel = build_relations(working, cands)
+    runs = [path_runs(ag.path, steps) for ag, steps in zip(working.agents, moves)]
+    # nothing reads the move lists past here, nor the runs past relations:
+    # freed, they are not held through the solve and apply peaks
+    del report, moves
+    cands = generate_candidates(working, runs=runs)
+    rel = build_relations(working, cands, runs=runs)
+    del runs
     model = build_model(rel, cands)
     build_time = time.monotonic() - t_build
 
     solution = solve_exact(model, config.time_limit_ms / 1000.0)
-    final = apply_solution(working, cands, solution, graph, config.mode)
+    final, final_report = apply_solution(working, cands, solution, graph, config.mode, cost=cost_working)
+    cost_after = sum(map(len, final_report.moves))
 
-    # apply_solution checked that the selection removed exactly solution.saving moves
-    cost_after = cost_before - aba_removed - solution.saving
     total_time = time.monotonic() - t_start
     stats = {
         "config": config.to_json_dict(),
@@ -99,14 +116,14 @@ def optimize_schedule(
         "saving": cost_before - cost_after,
         "saving_ratio": (cost_before - cost_after) / cost_before if cost_before else 0.0,
         "soc_before": soc_before,
-        "soc_after": soc(final),
+        "soc_after": soc_from_moves(final, final_report.moves),
         "isr_before": isr_before,
         "isr_after": isr(final),
         "aba_passes": aba_passes,
         "aba_removed_moves": aba_removed,
         "ilp_saving": solution.saving,
         "n_actions": len(cands.actions),
-        "n_mutex": model.n_mutex,
+        "n_mutex": solution.n_mutex,
         "n_implications": len(model.implications),
         "n_invalid": len(model.fixed_zero),
         "optimal": solution.optimal,

@@ -33,9 +33,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .candidates import CandidateSet, _runs
+from .candidates import CandidateSet
 from .errors import ConsistencyError
-from .schedule import Schedule
+from .schedule import Run, Schedule, move_steps, path_runs
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,6 @@ def overlap_pairs(spans: tuple[Span, ...], members) -> list[tuple[int, int]]:
         pairs.extend(chain_pairs(spans, chain))
     pairs.sort()
     return pairs
-
-
-def count_chain_pairs(spans: tuple[Span, ...], chain: list[int]) -> int:
-    """len(chain_pairs(spans, chain)), with one bisect per span."""
-    starts = [spans[i][1] for i in chain]
-    return sum(bisect_right(starts, spans[i][2]) - pos - 1 for pos, i in enumerate(chain))
 
 
 @dataclass(frozen=True)
@@ -157,13 +151,17 @@ def _cross_exclusions(by_vertex: dict[str, list[tuple[int, int, int, int]]]) -> 
     return pairs
 
 
-def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet:
+def build_relations(
+    schedule: Schedule, candidates: CandidateSet, runs: list[list[Run]] | None = None
+) -> RelationSet:
     """Extract exclusions, dependencies, and invalid actions.
 
-    Candidates must have been generated from this schedule. Dependencies
-    are recorded per (action, blocking stay), at the first step the stay
-    shares with [a, b]; stays are scanned in step order, agents in index
-    order, and exact duplicates (same action, same suitable set) are
+    Candidates must have been generated from this schedule; runs[i] may
+    give agent i's constant runs (schedule.path_runs), which are found
+    from the paths when it is not given. Dependencies are recorded per
+    (action, blocking stay), at the first step the stay shares with
+    [a, b]; stays are scanned in step order, agents in index order, and
+    exact duplicates (same action, same suitable set) are
     merged. An action whose suitable set is empty for some stay becomes
     invalid and its remaining dependency scan is abandoned.
     """
@@ -180,9 +178,11 @@ def build_relations(schedule: Schedule, candidates: CandidateSet) -> RelationSet
         by_vertex.setdefault(c.x, []).append((c.a, c.b, c.agent, idx))
     exclusions_cross = _cross_exclusions(by_vertex)
 
+    if runs is None:
+        runs = [path_runs(ag.path, move_steps(ag.path)) for ag in schedule.agents]
     stays: dict[str, list[tuple[int, int, int]]] = {x: [] for x in by_vertex}
-    for j, ag in enumerate(schedule.agents):
-        for v, first, last in _runs(ag.path):
+    for j, agent_runs in enumerate(runs):
+        for v, first, last in agent_runs:
             if v in stays:
                 stays[v].append((first, last, j))
     for vstays in stays.values():

@@ -9,7 +9,10 @@ validate and cost_moves scan the cells only at C level (comparing
 consecutive positions, building sets). Beyond that, their work is per
 move (a step at which an agent changes vertex) plus one set per
 timestep; validate walks a timestep agent by agent only where it holds
-a collision.
+a collision. validate's report carries every path's move steps, so a
+caller can read the move count, the settle times (soc_from_moves) and
+the constant runs (path_runs) of a validated schedule without scanning
+its cells again.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import contains, ne
@@ -81,8 +85,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Violations found by validate. moves[i] lists agent i's move steps
+    (move_steps of its path); it is neither compared nor written out."""
+
     feasible: bool
     violations: tuple[Violation, ...]
+    moves: tuple[list[int], ...] = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,6 +123,7 @@ def validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> Feasibilit
                 graph.require(v)
 
     violations: list[Violation] = []
+    moves: list[list[int]] = []
     arcs: set[tuple[int, str, str]] = set()  # (t, u, v): an earlier agent moves u -> v at t
     swap_steps: set[int] = set()
     for i, ag in enumerate(schedule.agents):
@@ -123,8 +132,9 @@ def validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> Feasibilit
             violations.append(Violation("start-mismatch", (i,), 0))
         if mode == STRICT and p[T] != ag.goal:
             violations.append(Violation("goal-stop", (i,), T))
+        steps = move_steps(p)
+        moves.append(steps)
         q = p[1:]
-        steps = list(compress(count(), map(ne, p, q)))
         sources = list(map(p.__getitem__, steps))
         targets = list(map(q.__getitem__, steps))
         if not all(map(contains, map(adj.__getitem__, sources), targets)):
@@ -172,7 +182,33 @@ def validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> Feasibilit
                 seen_goals[ag.goal] = i
 
     violations.sort(key=lambda v: (v.timestep, v.kind, v.agents))
-    return FeasibilityReport(not violations, tuple(violations))
+    return FeasibilityReport(not violations, tuple(violations), tuple(moves))
+
+
+def move_steps(path: tuple[str, ...]) -> list[int]:
+    """Steps t with path[t] != path[t + 1], ascending, found at C level."""
+    return list(compress(count(), map(ne, path, path[1:])))
+
+
+Run = tuple[str, int, int]  # (vertex, first, last) of a maximal constant run
+
+
+def path_runs(path: tuple[str, ...], steps: list[int]) -> list[Run]:
+    """Maximal constant runs as (vertex, first, last), from the path's
+    move steps: a run ends at each move and at the horizon."""
+    firsts = [0, *[s + 1 for s in steps]]
+    return list(zip(map(path.__getitem__, firsts), firsts, [*steps, len(path) - 1]))
+
+
+def soc_from_moves(schedule: Schedule, moves: Sequence[list[int]]) -> int:
+    """soc(schedule) from each path's move steps: an agent that ends at
+    its goal settled one step after its last move (at 0 if it never
+    moves); any other agent counts T."""
+    T = schedule.horizon
+    return sum(
+        (steps[-1] + 1 if steps else 0) if ag.path[T] == ag.goal else T
+        for ag, steps in zip(schedule.agents, moves)
+    )
 
 
 def cost_moves(schedule: Schedule) -> int:
@@ -327,13 +363,7 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
     if isinstance(gspec, dict) and "map_file" in gspec:
         if not isinstance(gspec["map_file"], str):
             raise InstanceFormatError(f"map_file must be a string, got {gspec['map_file']!r}")
-        path = os.path.join(base_dir, gspec["map_file"])
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or non-UTF-8 bytes
-            raise InstanceFormatError(f"cannot read map file {path!r}: {exc}") from exc
-        grid = load_map(text)
+        grid = read_map_file(os.path.join(base_dir, gspec["map_file"]))
         graph = grid_to_graph(grid)
         map_name = os.path.splitext(os.path.basename(gspec["map_file"]))[0]
     else:
@@ -365,6 +395,17 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
     return Instance(graph, schedule, grid, map_name)
+
+
+def read_map_file(path: str) -> GridMap:
+    """Parse a grid map file; a file that cannot be read (missing, a NUL
+    in the path, bytes that are not UTF-8) raises InstanceFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or non-UTF-8 bytes
+        raise InstanceFormatError(f"cannot read map file {path!r}: {exc}") from exc
+    return load_map(text)
 
 
 def graph_from_json_dict(data) -> Graph:

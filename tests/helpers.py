@@ -404,6 +404,75 @@ def reference_cost_moves(schedule: Schedule) -> int:
     return total
 
 
+def count_chain_pairs(spans, chain) -> int:
+    """len(relations.chain_pairs(spans, chain)), with one bisect per span."""
+    starts = [spans[i][1] for i in chain]
+    return sum(bisect_right(starts, spans[i][2]) - pos - 1 for pos, i in enumerate(chain))
+
+
+def reference_n_mutex(model: IlpModel) -> int:
+    """len(model.mutex), counted over the model's overlap chains without
+    listing the pairs: the reference for the solver's count."""
+    within = sum(count_chain_pairs(model.spans, chain) for chain in model.chains)
+    return within + len(model.explicit_mutex)
+
+
+def reference_aba_prefilter(schedule: Schedule, max_passes: int = 16) -> tuple[Schedule, int]:
+    """aba_prefilter_detailed by a walk over every (agent, timestep) cell
+    with per-timestep occupancy counts: the reference.
+
+    Rewrites A,B,A position triples to A,A,A where no collision results.
+    Scans agents in index order and timesteps ascending, repeating full
+    passes until a fixpoint or the pass cap. A rewrite is skipped when
+    another agent occupies A at the middle timestep in the current,
+    partially rewritten schedule. Returns the filtered schedule and the
+    number of passes executed (fixpoint pass included).
+    """
+    T = schedule.horizon
+    paths = [list(ag.path) for ag in schedule.agents]
+    # occupancy[t] = multiset of vertices occupied at t, as counts
+    occupancy: list[dict[str, int]] = [dict() for _ in range(T + 1)]
+    for row in paths:
+        for t, v in enumerate(row):
+            occupancy[t][v] = occupancy[t].get(v, 0) + 1
+
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        changed = False
+        for row in paths:
+            for t in range(1, T):
+                a = row[t - 1]
+                if row[t + 1] != a or row[t] == a:
+                    continue
+                occ = occupancy[t]
+                if occ.get(a, 0) > 0:
+                    continue  # someone else sits at A right now
+                b = row[t]
+                occ[b] -= 1
+                if occ[b] == 0:
+                    del occ[b]
+                occ[a] = occ.get(a, 0) + 1
+                row[t] = a
+                changed = True
+        if not changed:
+            break
+    return schedule.with_paths(paths), passes
+
+
+def reference_runs(path) -> list[tuple[str, int, int]]:
+    """Maximal constant runs as (vertex, first, last), cell by cell: the
+    reference for schedule.path_runs."""
+    runs = []
+    start = 0
+    for t in range(1, len(path)):
+        if path[t] != path[start]:
+            runs.append((path[start], start, t - 1))
+            start = t
+    runs.append((path[start], start, len(path) - 1))
+    return runs
+
+
 def reference_agent_density(schedule: Schedule, grid: GridMap, fov: int = 11) -> float:
     """agent_density by comparing every pair of agents at every
     timestep, with a prefix-sum table of free cells: the reference.

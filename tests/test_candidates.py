@@ -18,6 +18,7 @@ from mapf_collapse.reduction import reduce_independent_set
 from helpers import (
     crowded_schedules,
     random_rollout_instance,
+    reference_aba_prefilter,
     schedule_from_paths,
     single_edge_graph,
 )
@@ -166,6 +167,19 @@ def test_aba_rewrite_unblocks_neighbor():
     filtered = aba_prefilter_detailed(s)[0]
     assert filtered.agents[0].path == ("A", "A", "A")
     assert filtered.agents[1].path == ("C", "C", "C")
+
+
+def test_aba_triple_removed_by_a_later_rewrite_stays_removed():
+    # A,B,A at step 1 is blocked in pass 1, then the rewrite of B,A,B at
+    # step 2 turns it into A,B,B; once the blocker leaves A in pass 1, it
+    # must not be rewritten in pass 2
+    s = schedule_from_paths([["A", "B", "A", "B"], ["C", "A", "C", "C"]])
+    filtered, passes = aba_prefilter_detailed(s)
+    assert filtered.agents[0].path == ("A", "B", "B", "B")
+    assert filtered.agents[1].path == ("C", "C", "C", "C")
+    assert passes == 2
+    expected, expected_passes = reference_aba_prefilter(s)
+    assert (filtered, passes) == (expected, expected_passes)
 
 
 def test_aba_constant_path_unchanged():

@@ -303,6 +303,16 @@ def test_gen_too_many_agents_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("map_name", ["bad.map", "missing.map"], ids=["non-utf8", "missing"])
+def test_gen_unreadable_map_exit_2(tmp_path, capsys, map_name):
+    # the same handling as a map_file named in an instance
+    (tmp_path / "bad.map").write_bytes(TINY_MAP.encode() + b"\xff\n")
+    out = tmp_path / "g.json"
+    assert main(["gen", "--map", str(tmp_path / map_name), "--agents", "2", "-o", str(out)]) == 2
+    assert "cannot read map file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["optimize"]) == 1
     assert main(["no-such-command"]) == 1

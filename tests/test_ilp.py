@@ -22,6 +22,7 @@ from mapf_collapse import (
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
 from mapf_collapse.ilp import CollapseSolution, _Agent, _components
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
+from mapf_collapse.schedule import move_steps
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
@@ -35,6 +36,7 @@ from helpers import (
     pairwise_dominated,
     positive_exhaustive_count,
     random_rollout_instance,
+    reference_n_mutex,
     schedule_from_paths,
     single_edge_graph,
 )
@@ -183,8 +185,9 @@ def test_greedy_respects_constraints_randomized():
         for owner, suitable in model.implications:
             if owner in sol.selected:
                 assert any(x in sol.selected for x in suitable)
-        applied = apply_solution(s, cands, sol, g, "relaxed")
+        applied, report = apply_solution(s, cands, sol, g, "relaxed")
         assert cost_moves(applied) == cost_moves(s) - sol.saving
+        assert report.moves == tuple(move_steps(ag.path) for ag in applied.agents)
 
 
 # ---------------------------------------------------------- apply_solution
@@ -194,7 +197,7 @@ def test_apply_solution_gadget_first_option():
     red, cands, model = gadget_pipeline()
     ids = {(c.agent, c.a, c.b): i for i, c in enumerate(cands.actions)}
     sol = CollapseSolution(frozenset({ids[(0, 0, 6)], ids[(2, 0, 4)]}), 6, True)
-    out = apply_solution(red.schedule, cands, sol, red.graph, "strict")
+    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict")
     assert out.agents[0].path == tuple(["x_u1"] * 7)
     assert out.agents[2].path == ("a_e1",) * 5 + ("x_u2", "b_e1")
     assert cost_moves(out) == 4
@@ -204,14 +207,14 @@ def test_apply_solution_gadget_first_option():
 def test_apply_solution_empty_selection():
     red, cands, _ = gadget_pipeline()
     sol = CollapseSolution(frozenset(), 0, True)
-    out = apply_solution(red.schedule, cands, sol, red.graph, "strict")
+    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict")
     assert out == red.schedule
 
 
 def test_apply_solution_mutual_oscillation_both():
     s, g, cands, model = mutual_oscillation()
     sol = solve_exact(model, 5.0)
-    out = apply_solution(s, cands, sol, g, "relaxed")
+    out, _ = apply_solution(s, cands, sol, g, "relaxed")
     assert out.agents[0].path == ("A", "A", "A")
     assert out.agents[1].path == ("C", "C", "C")
     assert cost_moves(out) == 0
@@ -243,7 +246,7 @@ def test_exactness_against_oracle_quick():
         assert sol.saving == oracle.best_saving
         greedy = solve_greedy(model)
         assert sol.saving >= greedy.saving
-        applied = apply_solution(s, cands, sol, g, "relaxed")
+        applied, _ = apply_solution(s, cands, sol, g, "relaxed")
         assert validate(applied, g, "relaxed").feasible
         assert cost_moves(applied) <= cost_moves(s)
         checked += 1
@@ -328,7 +331,9 @@ def test_lazy_pair_lists_match_eager_sweep():
     rng = random.Random(59)
     for s, g, mode, cands, rel, model in random_models(rng, 80):
         reference = eager_mutex(cands, rel, model.fixed_zero)
-        assert model.n_mutex == len(reference)
+        assert reference_n_mutex(model) == len(reference)
+        assert solve_exact(model, 30.0).n_mutex == len(reference)
+        assert solve_greedy(model).n_mutex == len(reference)
         assert "mutex" not in model.__dict__  # counting lists nothing
         assert rel.exclusions_in == eager_exclusions_in(cands)
         assert rel.to_json_dict()["mutex_in"] == [list(p) for p in eager_exclusions_in(cands)]
@@ -350,8 +355,9 @@ def test_span_model_solves_like_explicit_model():
         assert sol.optimal and ref.optimal
         assert sol.saving == ref.saving
         assert_feasible(model, sol.selected)
-        applied = apply_solution(s, cands, sol, g, "relaxed")
+        applied, report = apply_solution(s, cands, sol, g, "relaxed")
         assert cost_moves(applied) == cost_moves(s) - sol.saving
+        assert report.moves == tuple(move_steps(ag.path) for ag in applied.agents)
 
 
 def disjoint_copies(model, k):

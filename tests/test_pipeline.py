@@ -64,6 +64,24 @@ def test_stats_deterministic_modulo_timing():
     assert a.schedule == b.schedule
 
 
+def test_optimize_leaves_the_input_untouched_and_calls_stay_cold():
+    """No stage caches anything on the caller's schedule or its agent
+    records, so a second call on the same input does the same work and
+    reports the same stats."""
+    rng = random.Random(103)
+    for _ in range(10):
+        s, g, _ = random_rollout_instance(rng, noise=0.6, horizon=12, n_agents=3)
+        before = dict(vars(s))
+        agents_before = [dict(vars(ag)) for ag in s.agents]
+        config = OptimizeConfig(mode="relaxed")
+        first = optimize_schedule(s, g, config)
+        second = optimize_schedule(s, g, config)
+        assert vars(s) == before
+        assert [vars(ag) for ag in s.agents] == agents_before
+        assert strip_timing(first.stats) == strip_timing(second.stats)
+        assert first.schedule == second.schedule
+
+
 def test_custom_solver_hook(monkeypatch):
     from mapf_collapse import pipeline
     from mapf_collapse.ilp import solve_exact

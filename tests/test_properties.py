@@ -2,8 +2,11 @@
 valid, its saving is the oracle's optimum, and its bound is no lower.
 Over mutated schedules validate and cost_moves agree with the per-cell
 references, and over crowded grid schedules agent_density equals the
-pairwise reference to the bit. Over malformed files the CLI exits with
-its documented code, never a traceback."""
+pairwise reference to the bit. Over oscillating, crowded paths the ABA
+prefilter's triple scan rewrites what the per-cell scan rewrites, in as
+many passes, and the move count, settle times and runs read from
+validate's move steps equal their per-cell references. Over malformed
+files the CLI exits with its documented code, never a traceback."""
 
 import itertools
 import json
@@ -27,15 +30,19 @@ from mapf_collapse import (
     cost_moves,
     validate,
 )
+from mapf_collapse.candidates import aba_prefilter_detailed
 from mapf_collapse.cli import main
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
-from mapf_collapse.schedule import MODES
+from mapf_collapse.schedule import MODES, RELAXED, move_steps, path_runs, settle_time, soc_from_moves
 
 from helpers import (
+    complete_graph,
     edge_instance_json,
     random_rollout_instance,
+    reference_aba_prefilter,
     reference_agent_density,
     reference_cost_moves,
+    reference_runs,
     reference_validate,
     schedule_from_paths,
 )
@@ -133,6 +140,71 @@ def test_validate_and_cost_moves_match_per_cell_reference(case):
             assert raised.value.args == exc.args
         else:
             assert validate(schedule, graph, mode).to_json_dict() == expected.to_json_dict()
+
+
+OSCILLATION_VERTICES = ("A", "B", "C", "D")
+
+
+@st.composite
+def oscillating_schedules(draw):
+    """1-5 agents over the vertices A-D, horizon 0-12, goals drawn apart
+    from the paths. A path is random, or alternates two vertices
+    (A,B,A,B,A: nested triples) with random waits and random cells, or
+    is another path shifted by one step, or is a blocker: random, but
+    with a C,A,C of its own around the middle step of another path's
+    A,B,A. A blocker blocks that triple until its own is rewritten, so
+    the rewrite of a blocker of a blocker waits for a third pass."""
+    horizon = draw(st.integers(0, 12))
+    position = st.sampled_from(OSCILLATION_VERTICES)
+    paths: list[list[str]] = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "alternating", "shifted", "blocker"]))
+        source = draw(st.sampled_from(paths)) if paths else None
+        mids = [t for t in range(1, horizon) if source and source[t - 1] == source[t + 1] != source[t]]
+        if kind == "blocker" and mids:
+            path = draw(st.lists(position, min_size=horizon + 1, max_size=horizon + 1))
+            t = draw(st.sampled_from(mids))
+            a = source[t - 1]
+            c = draw(st.sampled_from([v for v in OSCILLATION_VERTICES if v not in (a, source[t])]))
+            path[t - 1 : t + 2] = [c, a, c]
+        elif kind == "shifted" and paths:
+            path = [draw(position)] + source[:horizon] if draw(st.booleans()) else source[1:] + [draw(position)]
+        elif kind == "alternating":
+            u, v = draw(st.lists(position, min_size=2, max_size=2, unique=True))
+            path = []
+            while len(path) <= horizon:
+                path.extend([u] * draw(st.integers(1, 2)) if draw(st.integers(0, 4)) else [draw(position)])
+                u, v = v, u
+            path = path[: horizon + 1]
+        else:
+            path = draw(st.lists(position, min_size=horizon + 1, max_size=horizon + 1))
+        paths.append(path)
+    goals = [draw(st.sampled_from([p[-1], *OSCILLATION_VERTICES])) for p in paths]
+    return schedule_from_paths(paths, goals=goals)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(schedule=oscillating_schedules(), max_passes=st.sampled_from([1, 2, 3, 16]))
+def test_aba_triple_scan_matches_per_cell_reference(schedule, max_passes):
+    expected, expected_passes = reference_aba_prefilter(schedule, max_passes)
+    for moves in (None, [move_steps(ag.path) for ag in schedule.agents]):
+        filtered, passes = aba_prefilter_detailed(schedule, max_passes, moves=moves)
+        assert passes == expected_passes
+        assert [ag.path for ag in filtered.agents] == [ag.path for ag in expected.agents]
+        for before, after in zip(schedule.agents, filtered.agents):
+            # a path left as it was keeps its record, so its moves stay valid
+            assert (after is before) == (after.path == before.path)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(schedule=oscillating_schedules())
+def test_counts_from_move_steps_match_per_cell_reference(schedule):
+    moves = validate(schedule, complete_graph(OSCILLATION_VERTICES), RELAXED).moves
+    assert list(moves) == [move_steps(ag.path) for ag in schedule.agents]
+    assert sum(map(len, moves)) == reference_cost_moves(schedule)
+    assert soc_from_moves(schedule, moves) == sum(settle_time(ag.path, ag.goal) for ag in schedule.agents)
+    for ag, steps in zip(schedule.agents, moves):
+        assert path_runs(ag.path, steps) == reference_runs(ag.path)
 
 
 @st.composite
