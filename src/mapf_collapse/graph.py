@@ -209,9 +209,15 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
+        """Graph from {"vertices": [name, ...], "edges": [[u, v], ...]}."""
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise ValueError("graph JSON needs 'vertices' and 'edges'")
-        return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+        vertices, edges = data["vertices"], data["edges"]
+        if not isinstance(vertices, list):
+            raise ValueError(f"graph JSON 'vertices' must be a list, got {type(vertices).__name__}")
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError("graph JSON 'edges' must be a list of 2-item lists")
+        return cls(vertices, [tuple(e) for e in edges])
 
 
 def grid_to_graph(m: GridMap) -> Graph:

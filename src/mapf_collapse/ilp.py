@@ -1,40 +1,37 @@
 """0/1 model over collapse candidates and an exact anytime solver.
 
-The model maximizes total saving subject to mutexes (at most one of two
-conflicting collapses) and covering implications (a selected collapse
-needs, per blocking agent and timestep, at least one suitable collapse
-selected on that agent). Selecting nothing is always feasible.
-
-Within-agent mutexes are not listed: each variable carries its
-candidate's (agent, a, b) span, and two free variables of one agent
-whose spans intersect (touching included) exclude each other. Only
-cross-agent mutex pairs and implications are explicit.
+The model maximizes total saving subject to same-agent mutexes (two
+collapses of one agent whose spans intersect, touching included) and
+covering implications (a selected collapse needs, per blocking agent
+and timestep, at least one suitable collapse selected on that agent).
+Selecting nothing is always feasible. The mutexes are not listed: each
+variable carries its candidate's (agent, a, b) span. Cross-agent
+exclusions are not part of the model, as the implications and the
+same-agent mutexes imply them (relations.py).
 
 solve_exact splits the free variables into independent components
 without listing any pair: a sweep over each agent's sorted spans joins
-overlap chains, and union-find joins the ends of every explicit pair
-and each implication owner with its members' chains. Each component is
-solved against a relaxation that drops the cross-agent pairs and the
-implications: what is left is one weighted interval scheduling problem
-per agent (Kleinberg & Tardos, Algorithm Design, 6.1), solved exactly
-by dynamic programming, and the sum of those optima bounds the
-component (the Lagrangian bound with all multipliers at zero). A
-component of one agent without explicit constraints is solved by the
-DP alone. A coupled one starts from the empty selection and is proved
-at the root when its bound is 0 or its relaxed optimum is feasible;
-otherwise a depth-first search on an explicit stack runs. Each node
-recomputes the DP of the agents whose variables changed, is pruned when
-the bound does not beat the incumbent, and is closed when the relaxed
-optimum violates no pair and no implication. Otherwise it branches, 1
-first, on the first violated constraint: on the heavier end of a
-cross-agent pair, or on the owner of an unmet implication (once the
-owner is 1, on its heaviest undecided suitable member). Same-agent
-exclusions propagate by bisecting the agent's spans sorted by end. The
-search's first dive is also its anytime answer ("diving", Achterberg,
-Constraint Integer Programming, 2007): a deadline stops a component
-only once it has reached a feasible leaf. There is no dominance
-presolve: no two reduced candidates of one agent have one weight and
-nested spans, so none can stand in for another.
+overlap chains, and union-find joins each implication owner with its
+members' chains. Each component is solved against a relaxation that
+drops the implications: what is left is one weighted interval
+scheduling problem per agent (Kleinberg & Tardos, Algorithm Design,
+6.1), solved exactly by dynamic programming, and the sum of those
+optima bounds the component (the Lagrangian bound with all multipliers
+at zero). A component without implications is one agent's overlap
+chain, solved by the DP alone. A coupled one starts from the empty
+selection and is proved at the root when its bound is 0 or its relaxed
+optimum is feasible; otherwise a depth-first search on an explicit
+stack runs. Each node recomputes the DP of the agents whose variables
+changed, is pruned when the bound does not beat the incumbent, and is
+closed when the relaxed optimum meets every implication. Otherwise it
+branches, 1 first, on the first unmet implication: on its owner, and
+once the owner is 1, on its heaviest undecided suitable member.
+Same-agent exclusions propagate by bisecting the agent's spans sorted
+by end. The search's first dive is also its anytime answer ("diving",
+Achterberg, Constraint Integer Programming, 2007): a deadline stops a
+component only once it has reached a feasible leaf. There is no
+dominance presolve: no two reduced candidates of one agent have one
+weight and nested spans, so none can stand in for another.
 """
 
 from __future__ import annotations
@@ -52,31 +49,18 @@ from .relations import RelationSet, Span, chain_pairs, overlap_chains
 from .schedule import FeasibilityReport, Schedule, cost_moves, validate
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IlpModel:
-    """Binary variables with weights, mutexes, implications and fixed zeros.
+    """Binary variables with weights, implications and fixed zeros.
 
     spans[i] is variable i's (agent, a, b); free variables of one agent
-    whose spans intersect are mutex without being listed, and
-    explicit_mutex holds every other mutex pair. A model built by hand as
-    IlpModel(weights, mutex, implications, fixed_zero) gives every
-    variable an agent of its own, so all of its mutexes are explicit.
+    whose spans intersect are mutex without being listed.
     """
 
     weights: tuple[int, ...]
-    explicit_mutex: tuple[tuple[int, int], ...]
     implications: tuple[tuple[int, tuple[int, ...]], ...]
     fixed_zero: frozenset[int]
     spans: tuple[Span, ...]
-
-    def __init__(self, weights, mutex, implications, fixed_zero, spans=None):
-        if spans is None:
-            spans = tuple((-1 - i, 0, 1) for i in range(len(weights)))
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "explicit_mutex", mutex)
-        object.__setattr__(self, "implications", implications)
-        object.__setattr__(self, "fixed_zero", fixed_zero)
-        object.__setattr__(self, "spans", spans)
 
     @property
     def n_vars(self) -> int:
@@ -94,31 +78,22 @@ class IlpModel:
 
     @cached_property
     def mutex(self) -> tuple[tuple[int, int], ...]:
-        """Every mutex pair, listed on first access: the explicit pairs,
-        merged and sorted with the same-agent overlaps of free variables
-        when there are any."""
-        within = [pair for chain in self.chains for pair in chain_pairs(self.spans, chain)]
-        if not within:
-            return self.explicit_mutex
-        return tuple(sorted(within + list(self.explicit_mutex)))
+        """Every mutex pair, the same-agent overlaps of free variables,
+        listed and sorted on first access."""
+        return tuple(sorted(pair for chain in self.chains for pair in chain_pairs(self.spans, chain)))
 
     @cached_property
-    def links(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(partners, owned) per variable: its explicit mutex partners and
-        the indices into implications that it owns. An implication owned
-        by a variable fixed to zero is vacuous and is left out. Built once
-        and only read by the search; no member set is walked here."""
-        n = self.n_vars
-        partners: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.explicit_mutex:
-            partners[a].append(b)
-            partners[b].append(a)
-        owned: list[list[int]] = [[] for _ in range(n)]
+    def links(self) -> list[list[int]]:
+        """Per variable, the indices into implications that it owns. An
+        implication owned by a variable fixed to zero is vacuous and is
+        left out. Built once and only read by the search; no member set
+        is walked here."""
+        owned: list[list[int]] = [[] for _ in range(self.n_vars)]
         fixed = self.fixed_zero
         for imp, (owner, _) in enumerate(self.implications):
             if owner not in fixed:
                 owned[owner].append(imp)
-        return partners, owned
+        return owned
 
 
 @dataclass(frozen=True)
@@ -131,7 +106,7 @@ class CollapseSolution:
     n_components: int = 0
     n_components_proved: int = 0
     upper_bound: int = 0  # no selection saves more; equals saving iff optimal
-    n_mutex: int = 0  # len(model.mutex), counted from the solve's per-agent spans
+    n_mutex: int = 0  # len(model.mutex): same-agent overlaps, counted from the solve's per-agent spans
 
 
 def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
@@ -141,36 +116,32 @@ def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
     weight candidates (possible in exhaustive mode) are fixed to zero as
     well: collapsing an already-constant segment changes no position, so
     it can neither save cost nor serve as a suitable action. Within-agent
-    exclusions stay implicit in the candidates' spans.
+    exclusions stay implicit in the candidates' spans, and cross-agent
+    exclusions are left out: the implications imply them.
     """
     weights = tuple(c.weight for c in candidates.actions)
     fixed = set(relations.invalid)
     fixed.update(i for i, w in enumerate(weights) if w == 0)
-    cross = tuple(
-        pair
-        for pair in relations.exclusions_cross
-        if pair[0] not in fixed and pair[1] not in fixed
-    )
     implications = tuple(
         (d.action, d.suitable)
         for d in relations.dependencies
         if d.action not in fixed
     )
-    return IlpModel(weights, cross, implications, frozenset(fixed), relations.spans)
+    return IlpModel(weights, implications, frozenset(fixed), relations.spans)
 
 
 def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
     """Independent components of the free variables: (members, coupled).
 
     Overlap chains come from one sweep over the sorted spans; union-find
-    then joins the chains of every explicit pair and of every
-    implication owner with each distinct chain of its free members. A
-    member whose chain is the previous member's is skipped: a suitable
-    set's members all cover the blocker's stay, so they share one chain
-    in practice, and one union per set replaces one per member.
+    then joins the chain of every implication owner with each distinct
+    chain of its free members. A member whose chain is the previous
+    member's is skipped: a suitable set's members all cover the
+    blocker's stay, so they share one chain in practice, and one union
+    per set replaces one per member.
     Components are sorted by (size, smallest variable), members
-    ascending. A component is coupled when it holds an explicit pair or
-    an implication; any other component is a single overlap chain.
+    ascending. A component is coupled when it holds an implication; any
+    other component is a single overlap chain.
     """
     free = model.free()
     chains = model.chains
@@ -187,10 +158,6 @@ def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
         return x
 
     coupled: list[int] = []
-    for a, b in model.explicit_mutex:
-        if chain_of[a] >= 0 and chain_of[b] >= 0:
-            parent[find(chain_of[a])] = find(chain_of[b])
-            coupled.append(chain_of[a])
     for owner, suitable in model.implications:
         if chain_of[owner] < 0:
             continue
@@ -284,9 +251,9 @@ def _solve_component(
     search. val holds every variable's state; it is shared between the
     disjoint components of one solve.
 
-    Fixing a variable to 1 fixes its partners and same-agent overlaps
-    to 0; per implication it owns, a single member not fixed to 0 is
-    fixed to 1, and none is a contradiction. Fixing to 0 propagates
+    Fixing a variable to 1 fixes its same-agent overlaps to 0; per
+    implication it owns, a single member not fixed to 0 is fixed to 1,
+    and none is a contradiction. Fixing to 0 propagates
     nothing: a member set may hold hundreds of variables, each listed in
     hundreds of sets. Implications are checked where the bound needs
     them, on the relaxed optimum: an undecided owner found there with no
@@ -294,7 +261,7 @@ def _solve_component(
     at 1 with none left ends the node.
     """
     weights, spans, implications = model.weights, model.spans, model.implications
-    partners, owned = model.links
+    owned = model.links
     by_agent: dict[int, list[int]] = {}
     for v in comp:
         by_agent.setdefault(spans[v][0], []).append(v)
@@ -321,15 +288,11 @@ def _solve_component(
         return total
 
     def violation(selection: list[int]) -> int:
-        """The variable to branch on for the first violated constraint,
+        """The variable to branch on for the first unmet implication,
         FEASIBLE if there is none, PRUNED if the node has no solution, or
         REVISED after fixing an owner to 0."""
         chosen = set(selection)
         for v in selection:
-            if not chosen.isdisjoint(partners[v]):
-                # both ends undecided: a 1 would have fixed the other to 0
-                u = next(u for u in partners[v] if u in chosen)
-                return v if (weights[v], -v) >= (weights[u], -u) else u
             for imp in owned[v]:
                 suitable = implications[imp][1]
                 if chosen.isdisjoint(suitable):
@@ -358,7 +321,7 @@ def _solve_component(
             agent = spans[v][0]
             dirty.add(agent)
             if want == ONE:
-                for u in partners[v] + agents[agent].overlapping(v):
+                for u in agents[agent].overlapping(v):
                     if val[u] == ONE:
                         return False
                     if val[u] == UNDEC:
@@ -436,10 +399,10 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
     and, unless that proves it, a search that runs at least until its
     first feasible leaf; the deadline stops it only after that. optimal
     is True iff every component was proved; upper_bound adds up each
-    component's proved optimum or root bound. n_mutex adds the explicit
-    pairs to the same-agent overlaps that each agent's interval DP
-    counts from its spans. Deterministic: fixed component and variable
-    order, first-found tie-breaking.
+    component's proved optimum or root bound. n_mutex adds up the
+    same-agent overlaps that each agent's interval DP counts from its
+    spans. Deterministic: fixed component and variable order,
+    first-found tie-breaking.
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
@@ -449,8 +412,7 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
     comps = _components(model)
 
     selected: list[int] = []
-    nodes = proved = upper_bound = 0
-    n_mutex = len(model.explicit_mutex)
+    nodes = proved = upper_bound = n_mutex = 0
     for comp, coupled in comps:
         if coupled:
             chosen, done, explored, bound, overlaps = _solve_component(model, comp, val, deadline)

@@ -6,16 +6,23 @@ From a schedule and its candidate set this module extracts:
     agent's candidates form an interval graph, so its conflicts are the
     overlaps of its spans and never need to be listed. overlap_pairs
     lists them on request, and RelationSet.exclusions_in does so lazily;
-  * cross-agent exclusions: same collapse vertex, intersecting intervals;
   * dependencies: a selected collapse parks its agent on x over [a, b],
     so every other agent that visits x in that window must itself be
     moved away by one of its own "suitable" collapses;
   * invalid actions: a dependency with no suitable action at all.
 
-Cross-agent exclusions are found by one sweep per vertex over its
-candidates sorted by start, comparing each only with the still-open
-candidates of other agents, so the cost follows the pairs reported and
-not the square of the candidates on a vertex.
+Cross-agent exclusions (same collapse vertex, intersecting intervals)
+are implied by the other two and are not part of the model. Take two
+agents' candidates on x with intersecting intervals, c over [a, b] and
+c' starting no earlier, at a' in [a, b]: the agent of c' is on x at a',
+so c depends on that stay, and every suitable member covers the whole
+stay and so overlaps c' on that agent. Selecting c and c' together
+breaks c's dependency or a within-agent exclusion, and if no member
+exists c is invalid.
+RelationSet.exclusions_cross lists them on request, by one sweep per
+vertex over its candidates sorted by start that compares each only with
+the still-open candidates of other agents, so the cost follows the
+pairs reported and not the square of the candidates on a vertex.
 
 Dependencies are found per stay, an agent's maximal constant run
 (first, last) on one vertex, kept sorted per vertex that some candidate
@@ -93,10 +100,11 @@ def overlap_pairs(spans: tuple[Span, ...], members) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Constraints of one candidate set; spans[i] is candidate i's (agent, a, b)."""
+    """Constraints of one candidate set; spans[i] is candidate i's
+    (agent, a, b) and vertices[i] the vertex it collapses onto."""
 
     spans: tuple[Span, ...]
-    exclusions_cross: tuple[tuple[int, int], ...]
+    vertices: tuple[str, ...]
     dependencies: tuple[Dependency, ...]
     invalid: tuple[int, ...]
 
@@ -104,6 +112,15 @@ class RelationSet:
     def exclusions_in(self) -> tuple[tuple[int, int], ...]:
         """Within-agent exclusions as sorted pairs, listed on first access."""
         return tuple(overlap_pairs(self.spans, range(len(self.spans))))
+
+    @cached_property
+    def exclusions_cross(self) -> tuple[tuple[int, int], ...]:
+        """Cross-agent exclusions as sorted pairs, listed on first access;
+        the dependencies and within-agent exclusions imply them."""
+        by_vertex: dict[str, list[tuple[int, int, int, int]]] = {}
+        for i, ((agent, a, b), x) in enumerate(zip(self.spans, self.vertices)):
+            by_vertex.setdefault(x, []).append((a, b, agent, i))
+        return tuple(sorted(_cross_exclusions(by_vertex)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,7 +171,8 @@ def _cross_exclusions(by_vertex: dict[str, list[tuple[int, int, int, int]]]) -> 
 def build_relations(
     schedule: Schedule, candidates: CandidateSet, runs: list[list[Run]] | None = None
 ) -> RelationSet:
-    """Extract exclusions, dependencies, and invalid actions.
+    """Extract dependencies and invalid actions; exclusions are listed
+    only on request.
 
     Candidates must have been generated from this schedule; runs[i] may
     give agent i's constant runs (schedule.path_runs), which are found
@@ -173,14 +191,9 @@ def build_relations(
         if schedule.agents[c.agent].path[c.a] != c.x or schedule.agents[c.agent].path[c.b] != c.x:
             raise ConsistencyError(f"action {c} endpoints do not match the schedule")
 
-    by_vertex: dict[str, list[tuple[int, int, int, int]]] = {}
-    for idx, c in enumerate(actions):
-        by_vertex.setdefault(c.x, []).append((c.a, c.b, c.agent, idx))
-    exclusions_cross = _cross_exclusions(by_vertex)
-
     if runs is None:
         runs = [path_runs(ag.path, move_steps(ag.path)) for ag in schedule.agents]
-    stays: dict[str, list[tuple[int, int, int]]] = {x: [] for x in by_vertex}
+    stays: dict[str, list[tuple[int, int, int]]] = {c.x: [] for c in actions}
     for j, agent_runs in enumerate(runs):
         for v, first, last in agent_runs:
             if v in stays:
@@ -226,11 +239,10 @@ def build_relations(
                 seen_suitable.add(suitable)
                 dependencies.append(Dependency(ci, j, k, suitable))
 
-    exclusions_cross.sort()
     dependencies.sort(key=lambda d: (d.action, d.blocker, d.timestep))
     return RelationSet(
         tuple((c.agent, c.a, c.b) for c in actions),
-        tuple(exclusions_cross),
+        tuple(c.x for c in actions),
         tuple(dependencies),
         tuple(sorted(invalid)),
     )

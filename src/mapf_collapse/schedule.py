@@ -409,7 +409,9 @@ def read_map_file(path: str) -> GridMap:
 
 
 def graph_from_json_dict(data) -> Graph:
-    """Graph.from_json_dict with any malformed value as InstanceFormatError."""
+    """Graph.from_json_dict with any malformed value as InstanceFormatError:
+    vertices must be a list of strings and edges a list of 2-item lists
+    of them."""
     try:
         return Graph.from_json_dict(data)
     except (ValueError, KeyError, TypeError) as exc:

@@ -187,41 +187,45 @@ def per_step_dependencies(schedule, candidates):
     return tuple(dependencies), tuple(sorted(invalid))
 
 
-def eager_mutex(candidates, relations, fixed_zero):
-    """Every exclusion between two unfixed variables, sorted and deduplicated."""
+def eager_mutex(candidates, fixed_zero):
+    """Every within-agent exclusion between two unfixed variables, sorted."""
     return tuple(
-        sorted(
-            {
-                pair
-                for pair in eager_exclusions_in(candidates) + relations.exclusions_cross
-                if pair[0] not in fixed_zero and pair[1] not in fixed_zero
-            }
-        )
+        pair
+        for pair in eager_exclusions_in(candidates)
+        if pair[0] not in fixed_zero and pair[1] not in fixed_zero
     )
 
 
-def explicit_model(model, candidates, relations):
-    """The same 0/1 model built by hand, with every mutex pair listed."""
-    return IlpModel(
-        model.weights,
-        eager_mutex(candidates, relations, model.fixed_zero),
-        model.implications,
-        model.fixed_zero,
-    )
+def brute_force_model(model, extra_mutex=()):
+    """Best saving over every selection of a small model's free variables
+    that meets all its mutexes and implications, and no pair of
+    extra_mutex: the reference.
 
-
-def brute_force_model(model):
-    """Best saving over every subset of a small model's free variables
-    that meets all its mutexes and implications: the reference."""
+    Selections are grown one variable at a time in ascending order, and
+    a variable is added only when it is mutex with none already chosen,
+    so every mutex-free selection is visited once and no other is."""
     free = model.free()
+    conflicts = {v: set() for v in free}
+    for a, b in itertools.chain(model.mutex, extra_mutex):
+        if a in conflicts and b in conflicts:
+            conflicts[a].add(b)
+            conflicts[b].add(a)
     best = 0
-    for mask in range(1 << len(free)):
-        chosen = {v for k, v in enumerate(free) if mask >> k & 1}
-        if any(a in chosen and b in chosen for a, b in model.mutex):
-            continue
-        if any(owner in chosen and chosen.isdisjoint(suitable) for owner, suitable in model.implications):
-            continue
-        best = max(best, sum(model.weights[v] for v in chosen))
+
+    def grow(start, chosen, saving):
+        nonlocal best
+        if saving > best and all(
+            owner not in chosen or not chosen.isdisjoint(suitable) for owner, suitable in model.implications
+        ):
+            best = saving
+        for k in range(start, len(free)):
+            v = free[k]
+            if conflicts[v].isdisjoint(chosen):
+                chosen.add(v)
+                grow(k + 1, chosen, saving + model.weights[v])
+                chosen.remove(v)
+
+    grow(0, set(), 0)
     return best
 
 
@@ -245,9 +249,9 @@ def all_pairs_cross_exclusions(candidates):
 
 
 def all_members_components(model):
-    """Components of the free variables by union-find over every explicit
-    pair, every same-agent overlap and every implication owner with each
-    of its free members, in _components' order: the reference."""
+    """Components of the free variables by union-find over every
+    same-agent overlap and every implication owner with each of its free
+    members, in _components' order: the reference."""
     free = model.free()
     parent = {v: v for v in free}
 
@@ -262,10 +266,6 @@ def all_members_components(model):
     coupled = set()
     for a, b in eager_overlaps(model):
         union(a, b)
-    for a, b in model.explicit_mutex:
-        if a in parent and b in parent:
-            union(a, b)
-            coupled.add(a)
     for owner, suitable in model.implications:
         if owner not in parent:
             continue
@@ -300,14 +300,10 @@ def pairwise_dominated(model, comp):
     the whole model.
 
     j dominates i when both have one agent and one weight, j's span is
-    strictly nested in i's, j's cross partners and owned suitable sets
-    are among i's, and j is suitable wherever i is: swapping i for j in
-    any feasible selection stays feasible and saves the same."""
+    strictly nested in i's, j's owned suitable sets are among i's, and j
+    is suitable wherever i is: swapping i for j in any feasible selection
+    stays feasible and saves the same."""
     weights, spans, implications = model.weights, model.spans, model.implications
-    partners = {v: set() for v in range(model.n_vars)}
-    for a, b in model.explicit_mutex:
-        partners[a].add(b)
-        partners[b].add(a)
     owned_sets = {v: set() for v in range(model.n_vars)}
     member_of = {v: set() for v in range(model.n_vars)}
     for imp, (owner, suitable) in enumerate(implications):
@@ -323,7 +319,6 @@ def pairwise_dominated(model, comp):
                 and spans[i][1] <= spans[j][1]
                 and spans[j][2] <= spans[i][2]
                 and spans[j][1:] != spans[i][1:]
-                and partners[j] <= partners[i]
                 and owned_sets[j] <= owned_sets[i]
                 and member_of[i] <= member_of[j]
             ):
@@ -413,8 +408,7 @@ def count_chain_pairs(spans, chain) -> int:
 def reference_n_mutex(model: IlpModel) -> int:
     """len(model.mutex), counted over the model's overlap chains without
     listing the pairs: the reference for the solver's count."""
-    within = sum(count_chain_pairs(model.spans, chain) for chain in model.chains)
-    return within + len(model.explicit_mutex)
+    return sum(count_chain_pairs(model.spans, chain) for chain in model.chains)
 
 
 def reference_aba_prefilter(schedule: Schedule, max_passes: int = 16) -> tuple[Schedule, int]:

@@ -147,6 +147,26 @@ def test_reduce_malformed_graph_exit_2(tmp_path, capsys, text):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [("ab", ["ab"]), (["a", "b"], ["ab"]), ({"a": 0, "b": 1}, [["a", "b"]]), (["a", "b"], {"ab": 0})],
+    ids=["string-vertices", "string-edge", "dict-vertices", "dict-edges"],
+)
+def test_graph_json_needs_lists_exit_2(tmp_path, capsys, vertices, edges):
+    # a string or a dict would be read item by item: "ab" as vertices a and b
+    gpath = tmp_path / "h.json"
+    gpath.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    code, _ = run(capsys, "reduce", str(gpath), "--k", "1", "-o", str(tmp_path / "x.json"))
+    assert code == 2
+    data = edge_instance_json()
+    data["graph"] = {"vertices": vertices, "edges": edges}
+    data["agents"][0].update(start="a", goal="b", path=["a", "b"])
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(data))
+    code, _ = run(capsys, "validate", str(p))
+    assert code == 2
+
+
 def test_optimize_idempotent_without_filter(gadget_instance, capsys, tmp_path):
     first = str(tmp_path / "first.json")
     code, out = run(

@@ -28,11 +28,11 @@ from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
     all_members_components,
+    all_pairs_cross_exclusions,
     brute_force_model,
     crowded_schedules,
     eager_exclusions_in,
     eager_mutex,
-    explicit_model,
     pairwise_dominated,
     positive_exhaustive_count,
     random_rollout_instance,
@@ -115,7 +115,7 @@ def test_solve_exact_mutual_oscillation():
 
 
 def test_solve_exact_empty_model():
-    model = IlpModel((), (), (), frozenset())
+    model = IlpModel((), (), frozenset(), ())
     sol = solve_exact(model, 1.0)
     assert sol.saving == 0 and sol.selected == frozenset() and sol.optimal
 
@@ -153,9 +153,9 @@ def test_solve_greedy_unsatisfiable_dependency():
     # the only positive action depends on a fixed-zero action
     model = IlpModel(
         weights=(3, 2),
-        mutex=(),
         implications=((0, (1,)),),
         fixed_zero=frozenset({1}),
+        spans=((0, 0, 2), (1, 0, 2)),
     )
     sol = solve_greedy(model)
     # at budget 0 the root check proves it: owner 0 is fixed to 0
@@ -166,7 +166,7 @@ def test_solve_greedy_unsatisfiable_dependency():
 
 
 def test_solve_greedy_unconstrained_takes_everything():
-    model = IlpModel((2, 3, 4), (), (), frozenset())
+    model = IlpModel((2, 3, 4), (), frozenset(), ((0, 0, 1), (1, 0, 1), (2, 0, 1)))
     sol = solve_greedy(model)
     assert sol.selected == frozenset({0, 1, 2})
     assert sol.saving == 9 and sol.optimal
@@ -282,7 +282,7 @@ def assert_feasible(model, selected):
 
 
 def one_agent_model(spans, weights):
-    return IlpModel(tuple(weights), (), (), frozenset(), tuple((0, a, b) for a, b in spans))
+    return IlpModel(tuple(weights), (), frozenset(), tuple((0, a, b) for a, b in spans))
 
 
 def test_interval_dp_matches_brute_force():
@@ -330,31 +330,35 @@ def random_models(rng, count):
 def test_lazy_pair_lists_match_eager_sweep():
     rng = random.Random(59)
     for s, g, mode, cands, rel, model in random_models(rng, 80):
-        reference = eager_mutex(cands, rel, model.fixed_zero)
+        reference = eager_mutex(cands, model.fixed_zero)
         assert reference_n_mutex(model) == len(reference)
         assert solve_exact(model, 30.0).n_mutex == len(reference)
         assert solve_greedy(model).n_mutex == len(reference)
         assert "mutex" not in model.__dict__  # counting lists nothing
+        assert "exclusions_cross" not in rel.__dict__  # neither model nor solve reads them
         assert rel.exclusions_in == eager_exclusions_in(cands)
         assert rel.to_json_dict()["mutex_in"] == [list(p) for p in eager_exclusions_in(cands)]
+        assert rel.exclusions_cross == all_pairs_cross_exclusions(cands)
         assert model.mutex == reference
         if mode != REDUCED:
             continue
         result = optimize_schedule(s, g, OptimizeConfig(mode="relaxed", aba_filter=False))
         assert "mutex" not in result.model.__dict__
         assert "exclusions_in" not in result.relations.__dict__
+        assert "exclusions_cross" not in result.relations.__dict__
         assert result.stats["n_mutex"] == len(reference)
 
 
-def test_span_model_solves_like_explicit_model():
+def test_span_model_optimum_matches_brute_force_with_cross_pairs():
+    # the model leaves the cross-agent pairs out: adding them back to the
+    # brute force changes no optimum
     rng = random.Random(61)
     for s, g, mode, cands, rel, model in random_models(rng, 80):
-        listed = explicit_model(model, cands, rel)
         sol = solve_exact(model, 30.0)
-        ref = solve_exact(listed, 30.0)
-        assert sol.optimal and ref.optimal
-        assert sol.saving == ref.saving
+        assert sol.optimal
+        assert sol.saving == brute_force_model(model, rel.exclusions_cross) == brute_force_model(model)
         assert_feasible(model, sol.selected)
+        assert not any(a in sol.selected and b in sol.selected for a, b in rel.exclusions_cross)
         applied, report = apply_solution(s, cands, sol, g, "relaxed")
         assert cost_moves(applied) == cost_moves(s) - sol.saving
         assert report.moves == tuple(move_steps(ag.path) for ag in applied.agents)
@@ -365,7 +369,6 @@ def disjoint_copies(model, k):
     agents = 1 + max(agent for agent, _, _ in model.spans)
     return IlpModel(
         model.weights * k,
-        tuple((a + c * n, b + c * n) for c in range(k) for a, b in model.explicit_mutex),
         tuple(
             (owner + c * n, tuple(x + c * n for x in suitable))
             for c in range(k)
@@ -403,7 +406,6 @@ def test_solve_exact_zero_budget_searches_each_coupled_component_to_a_first_incu
     # one agent whose heaviest span blocks two lighter ones: 3 alone, 4 together
     model = IlpModel(
         copies.weights + (3, 2, 2),
-        copies.explicit_mutex,
         copies.implications,
         copies.fixed_zero,
         copies.spans + ((agents, 0, 4), (agents, 0, 1), (agents, 2, 4)),
@@ -420,23 +422,25 @@ def test_solve_exact_zero_budget_searches_each_coupled_component_to_a_first_incu
 # ------------------------------------------------------ relaxation search
 
 
-def two_agent_model(weights, cross, implications, spans):
-    return IlpModel(tuple(weights), tuple(cross), tuple(implications), frozenset(), tuple(spans))
+def two_agent_model(weights, implications, spans):
+    return IlpModel(tuple(weights), tuple(implications), frozenset(), tuple(spans))
 
 
 def cross_pair_model():
-    # each agent's DP takes its long span (6 and 5), but the two are mutex
+    # each agent's DP takes its long span (6 and 5), as if both collapsed
+    # onto one vertex at once; each needs the other agent's short span
+    # that overlaps the other's long one, as a cross-agent pair's
+    # dependencies do
     return two_agent_model(
         [6, 4, 1, 5, 3, 1],
-        [(0, 3)],
-        [],
+        [(0, (4,)), (3, (1,))],
         [(0, 0, 4), (0, 0, 1), (0, 3, 4), (1, 0, 4), (1, 0, 1), (1, 3, 4)],
     )
 
 
 def implication_model():
     # agent 0's DP takes 0, which needs 2; agent 1's DP takes 1 instead
-    return two_agent_model([4, 3, 1], [], [(0, (2,))], [(0, 0, 2), (1, 0, 3), (1, 1, 2)])
+    return two_agent_model([4, 3, 1], [(0, (2,))], [(0, 0, 2), (1, 0, 3), (1, 1, 2)])
 
 
 @pytest.mark.parametrize("build", [cross_pair_model, implication_model])
@@ -508,7 +512,7 @@ def test_components_match_union_of_every_member(mode):
 def test_implication_over_two_agents_is_one_component():
     # 0 needs one of 1, 2, 3: 1 and 3 form one chain of agent 1, 2 is agent 2's
     spans = [(0, 0, 2), (1, 0, 2), (2, 0, 2), (1, 1, 3)]
-    model = two_agent_model([3, 1, 1, 1], [], [(0, (1, 2, 3))], spans)
+    model = two_agent_model([3, 1, 1, 1], [(0, (1, 2, 3))], spans)
     assert _components(model) == [([0, 1, 2, 3], True)] == all_members_components(model)
 
 

@@ -5,8 +5,11 @@ references, and over crowded grid schedules agent_density equals the
 pairwise reference to the bit. Over oscillating, crowded paths the ABA
 prefilter's triple scan rewrites what the per-cell scan rewrites, in as
 many passes, and the move count, settle times and runs read from
-validate's move steps equal their per-cell references. Over malformed
-files the CLI exits with its documented code, never a traceback."""
+validate's move steps equal their per-cell references. Over rollouts
+and colliding paths every cross-agent exclusion is implied by the
+model's fixed zeros, implications and same-agent overlaps. Over
+malformed files the CLI exits with its documented code, never a
+traceback."""
 
 import itertools
 import json
@@ -26,16 +29,21 @@ from mapf_collapse import (
     UnknownVertexError,
     agent_density,
     brute_force_collapse,
+    build_model,
+    build_relations,
     cell_name,
     cost_moves,
+    generate_candidates,
+    solve_exact,
     validate,
 )
-from mapf_collapse.candidates import aba_prefilter_detailed
+from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, aba_prefilter_detailed
 from mapf_collapse.cli import main
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.schedule import MODES, RELAXED, move_steps, path_runs, settle_time, soc_from_moves
 
 from helpers import (
+    brute_force_model,
     complete_graph,
     edge_instance_json,
     random_rollout_instance,
@@ -205,6 +213,44 @@ def test_counts_from_move_steps_match_per_cell_reference(schedule):
     assert soc_from_moves(schedule, moves) == sum(settle_time(ag.path, ag.goal) for ag in schedule.agents)
     for ag, steps in zip(schedule.agents, moves):
         assert path_runs(ag.path, steps) == reference_runs(ag.path)
+
+
+@st.composite
+def rollout_schedules(draw):
+    """Relaxed-feasible rollouts of 2-4 agents on 3x3 to 5x5 grids."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    size, n_agents = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    horizon, noise = draw(st.integers(4, 12)), draw(st.sampled_from([0.3, 0.6, 0.9]))
+    return random_rollout_instance(rng, height=size, width=size, n_agents=n_agents, horizon=horizon, noise=noise)[0]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    schedule=st.one_of(rollout_schedules(), oscillating_schedules()),
+    mode=st.sampled_from([REDUCED, EXHAUSTIVE]),
+)
+def test_cross_pairs_are_implied_by_the_model(schedule, mode):
+    # c and d collapse onto one vertex over intersecting spans: d's agent
+    # stands there inside c's span, so c owns an implication whose
+    # members all cover that stay and overlap d, or c is invalid
+    cands = generate_candidates(schedule, mode)
+    rel = build_relations(schedule, cands)
+    model = build_model(rel, cands)
+    spans = model.spans
+    owned = {}
+    for owner, suitable in model.implications:
+        owned.setdefault(owner, []).append(suitable)
+
+    def overlaps(u, v):
+        return spans[u][0] == spans[v][0] and spans[u][1] <= spans[v][2] and spans[v][1] <= spans[u][2]
+
+    def implied(c, d):
+        return any(all(overlaps(s, d) for s in suitable) for suitable in owned.get(c, ()))
+
+    for c, d in rel.exclusions_cross:
+        assert c in model.fixed_zero or d in model.fixed_zero or implied(c, d) or implied(d, c)
+    if len(model.free()) <= 16:
+        assert solve_exact(model, None).saving == brute_force_model(model, rel.exclusions_cross)
 
 
 @st.composite
