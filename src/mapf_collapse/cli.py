@@ -173,7 +173,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_gen(args) -> int:
     grid = read_map_file(args.map)
     graph = grid_to_graph(grid)
-    free = [f"r{r}c{c}" for r, c in grid.free_cells()]
+    free = graph.vertices
     if args.agents < 1 or 2 * args.agents > len(free):
         raise CapExceededError(
             f"cannot place {args.agents} agents on {len(free)} free cells"

@@ -106,43 +106,40 @@ class Graph:
     """Undirected graph over string vertices.
 
     Vertex and edge insertion order is preserved (reductions and JSON
-    round-trips depend on it); membership checks use sets. Edges are
-    stored once per unordered pair, in the orientation they were given.
+    round-trips depend on it). Edges are stored once per unordered pair,
+    in the orientation they were first given. Each vertex name is held
+    as one string object, which every edge endpoint and adjacency set
+    shares; the adjacency answers membership, has_edge, == and hash.
     """
 
-    __slots__ = ("_vertices", "_vertex_set", "_edges", "_edge_set", "_adj")
+    __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices, edges):
-        self._vertices: tuple[str, ...] = ()
-        self._vertex_set: set[str] = set()
-        self._adj: dict[str, set[str]] = {}
-        ordered = []
+        adj: dict[str, set[str]] = {}
         for v in vertices:
             if not isinstance(v, str) or v == "":
                 raise ValueError(f"invalid vertex id {v!r}")
-            if v not in self._vertex_set:
-                self._vertex_set.add(v)
-                self._adj[v] = set()
-                ordered.append(v)
-        self._vertices = tuple(ordered)
+            if v not in adj:
+                adj[v] = set()
+        self._vertices: tuple[str, ...] = tuple(adj)
+        canon = {v: v for v in self._vertices}  # any equal name -> the vertex's own object
         edge_list = []
-        edge_set = set()
         for u, v in edges:
-            if u not in self._vertex_set:
+            cu = canon.get(u)
+            if cu is None:
                 raise UnknownVertexError(u)
-            if v not in self._vertex_set:
+            cv = canon.get(v)
+            if cv is None:
                 raise UnknownVertexError(v)
-            if u == v:
+            if cu is cv:
                 raise ValueError(f"explicit self-loop on {u!r}; waiting is implicit")
-            key = (u, v) if u <= v else (v, u)
-            if key in edge_set:
+            if cv in adj[cu]:
                 continue
-            edge_set.add(key)
-            edge_list.append((u, v))
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-        self._edges = tuple(edge_list)
-        self._edge_set = edge_set
+            edge_list.append((cu, cv))
+            adj[cu].add(cv)
+            adj[cv].add(cu)
+        self._edges: tuple[tuple[str, str], ...] = tuple(edge_list)
+        self._adj = adj
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -153,7 +150,7 @@ class Graph:
         return self._edges
 
     def __contains__(self, v: str) -> bool:
-        return v in self._vertex_set
+        return v in self._adj
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -161,13 +158,14 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertex_set == other._vertex_set and self._edge_set == other._edge_set
+        return self._adj == other._adj
 
     def __hash__(self):
-        return hash((frozenset(self._vertex_set), frozenset(self._edge_set)))
+        # equal graphs have equal vertex sets and edge counts
+        return hash((frozenset(self._adj), len(self._edges)))
 
     def require(self, v: str) -> None:
-        if v not in self._vertex_set:
+        if v not in self._adj:
             raise UnknownVertexError(v)
 
     def neighbors(self, v: str) -> list[str]:
@@ -185,10 +183,7 @@ class Graph:
         """True iff u == v (implicit wait) or {u, v} is an edge."""
         self.require(u)
         self.require(v)
-        if u == v:
-            return True
-        key = (u, v) if u <= v else (v, u)
-        return key in self._edge_set
+        return u == v or v in self._adj[u]
 
     def bfs_distances(self, source: str) -> dict[str, int]:
         """Hop distance from source to every reachable vertex."""
@@ -222,15 +217,16 @@ class Graph:
 
 def grid_to_graph(m: GridMap) -> Graph:
     """4-connected graph over the free cells of a grid map."""
-    free = m.free_cells()
-    vertices = [cell_name(r, c) for r, c in free]
+    names = {(r, c): cell_name(r, c) for r, c in m.free_cells()}
     edges = []
-    for r, c in free:
-        if m.is_free(r, c + 1):
-            edges.append((cell_name(r, c), cell_name(r, c + 1)))
-        if m.is_free(r + 1, c):
-            edges.append((cell_name(r, c), cell_name(r + 1, c)))
-    return Graph(vertices, edges)
+    for (r, c), name in names.items():
+        right = names.get((r, c + 1))
+        if right is not None:
+            edges.append((name, right))
+        below = names.get((r + 1, c))
+        if below is not None:
+            edges.append((name, below))
+    return Graph(list(names.values()), edges)
 
 
 def derive_grid(g: Graph) -> GridMap | None:

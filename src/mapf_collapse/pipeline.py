@@ -41,6 +41,11 @@ class OptimizeConfig:
     aba_filter: bool = True
     time_limit_ms: int = DEFAULT_TIME_LIMIT_MS
 
+    def __post_init__(self):
+        # 0 is valid: each component keeps its first dive (solve_greedy)
+        if self.time_limit_ms < 0:
+            raise ValueError(f"time_limit_ms must be at least 0, got {self.time_limit_ms}")
+
     def to_json_dict(self) -> dict:
         return {
             "mode": self.mode,

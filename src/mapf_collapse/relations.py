@@ -174,12 +174,14 @@ def build_relations(
     """Extract dependencies and invalid actions; exclusions are listed
     only on request.
 
-    Candidates must have been generated from this schedule; runs[i] may
-    give agent i's constant runs (schedule.path_runs), which are found
-    from the paths when it is not given. Dependencies are recorded per
-    (action, blocking stay), at the first step the stay shares with
-    [a, b]; stays are scanned in step order, agents in index order, and
-    exact duplicates (same action, same suitable set) are
+    Candidates must have been generated from this schedule, and each
+    candidates.per_agent list must be sorted by start a (suitable sets
+    are found by bisecting it); the global order of the actions is free.
+    runs[i] may give agent i's constant runs (schedule.path_runs), which
+    are found from the paths when it is not given. Dependencies are
+    recorded per (action, blocking stay), at the first step the stay
+    shares with [a, b]; stays are scanned in step order, agents in index
+    order, and exact duplicates (same action, same suitable set) are
     merged. An action whose suitable set is empty for some stay becomes
     invalid and its remaining dependency scan is abandoned.
     """

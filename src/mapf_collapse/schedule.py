@@ -376,6 +376,9 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
     agents = []
     if not isinstance(data["agents"], list):
         raise InstanceFormatError("'agents' must be a list")
+    # path entries share the graph's vertex objects; a name that is no
+    # vertex is kept as given, for validate to report
+    canon = {v: v for v in graph.vertices}
     for idx, entry in enumerate(data["agents"]):
         try:
             name, start, goal, path = (entry[key] for key in ("name", "start", "goal", "path"))
@@ -385,7 +388,8 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
             raise InstanceFormatError(f"agent #{idx}: name, start and goal must be strings")
         if not isinstance(path, list) or not all(isinstance(v, str) for v in path):
             raise InstanceFormatError(f"agent #{idx}: path must be a list of vertex names")
-        agents.append(AgentRecord(name, start, goal, tuple(path)))
+        start, goal = canon.get(start, start), canon.get(goal, goal)
+        agents.append(AgentRecord(name, start, goal, tuple(map(canon.get, path, path))))
         if len(path) != horizon + 1:
             raise InstanceFormatError(
                 f"agent #{idx} path length {len(path)} does not match horizon {horizon}"

@@ -13,6 +13,7 @@ from mapf_collapse import (
     IlpModel,
     PlanRequest,
     Schedule,
+    UnknownVertexError,
     UnsupportedScheduleError,
     grid_to_graph,
     noisy_rollout,
@@ -33,6 +34,61 @@ def schedule_from_paths(paths, starts=None, goals=None, names=None):
         name = names[i] if names else f"a{i}"
         agents.append(AgentRecord(name, start, goal, tuple(path)))
     return Schedule(tuple(agents), horizon)
+
+
+class ReferenceGraph:
+    """Graph's observable behaviour kept in a vertex set and a set of
+    normalized edge keys (u, v) with u <= v: the reference for Graph,
+    which answers the same questions from its adjacency alone."""
+
+    def __init__(self, vertices, edges):
+        self.vertex_set: set[str] = set()
+        self.adj: dict[str, set[str]] = {}
+        ordered = []
+        for v in vertices:
+            if not isinstance(v, str) or v == "":
+                raise ValueError(f"invalid vertex id {v!r}")
+            if v not in self.vertex_set:
+                self.vertex_set.add(v)
+                self.adj[v] = set()
+                ordered.append(v)
+        self.vertices = tuple(ordered)
+        edge_list = []
+        self.edge_set: set[tuple[str, str]] = set()
+        for u, v in edges:
+            if u not in self.vertex_set:
+                raise UnknownVertexError(u)
+            if v not in self.vertex_set:
+                raise UnknownVertexError(v)
+            if u == v:
+                raise ValueError(f"explicit self-loop on {u!r}; waiting is implicit")
+            key = (u, v) if u <= v else (v, u)
+            if key in self.edge_set:
+                continue
+            self.edge_set.add(key)
+            edge_list.append((u, v))
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+        self.edges = tuple(edge_list)
+
+    def __eq__(self, other) -> bool:
+        return self.vertex_set == other.vertex_set and self.edge_set == other.edge_set
+
+    def require(self, v: str) -> None:
+        if v not in self.vertex_set:
+            raise UnknownVertexError(v)
+
+    def neighbors(self, v: str) -> list[str]:
+        self.require(v)
+        return sorted(self.adj[v])
+
+    def has_edge(self, u: str, v: str) -> bool:
+        self.require(u)
+        self.require(v)
+        return u == v or ((u, v) if u <= v else (v, u)) in self.edge_set
+
+    def to_json_dict(self) -> dict:
+        return {"vertices": list(self.vertices), "edges": [[u, v] for u, v in self.edges]}
 
 
 def line_graph(n, prefix="v"):

@@ -6,6 +6,7 @@ import pytest
 
 from mapf_collapse import Instance, load_instance, save_instance
 from mapf_collapse.cli import main
+from mapf_collapse.pipeline import OptimizeConfig
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import edge_instance_json, schedule_from_paths, single_edge_graph
@@ -230,6 +231,31 @@ def test_optimize_relations_dump(gadget_instance, capsys, tmp_path):
     assert code == 0
     rel = json.loads(open(dump).read())
     assert set(rel) == {"mutex_in", "mutex_cross", "deps", "invalid"}
+
+
+@pytest.mark.parametrize("command", ["optimize", "bench"])
+def test_negative_time_limit_exit_1_writes_nothing(gadget_instance, capsys, tmp_path, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "optimize":
+        argv = [gadget_instance, "-o", str(out / "o.json"), "--stats", str(out / "s.json")]
+    else:
+        argv = [str(tmp_path), "--out", str(out / "bench.csv")]
+    code = main([command, *argv, "--time-limit-ms", "-5"])
+    assert code == 1
+    assert "time_limit_ms must be at least 0, got -5" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_time_limit_zero_valid_below_zero_raises(gadget_instance, capsys, tmp_path):
+    code, out = run(
+        capsys, "optimize", gadget_instance, "-o", str(tmp_path / "o.json"),
+        "--stats", str(tmp_path / "s.json"), "--time-limit-ms", "0",
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["time_limit_ms"] == 0
+    with pytest.raises(ValueError, match="time_limit_ms must be at least 0"):
+        OptimizeConfig(time_limit_ms=-1)
 
 
 def test_oracle_gadget(gadget_instance, capsys):

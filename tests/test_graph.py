@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapf_collapse import (
     Graph,
@@ -12,8 +15,9 @@ from mapf_collapse import (
 )
 from mapf_collapse.graph import derive_grid
 from mapf_collapse.reduction import reduce_independent_set
+from mapf_collapse.schedule import instance_from_json_dict
 
-from helpers import single_edge_graph
+from helpers import ReferenceGraph, edge_instance_json, single_edge_graph
 
 MAP_3X3_CENTER = "type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n"
 
@@ -156,3 +160,119 @@ def test_derive_grid_round_trip():
 
 def test_derive_grid_abstract_graph():
     assert derive_grid(Graph(["A", "B"], [("A", "B")])) is None
+
+
+# ------------------------------------------ one object per vertex name
+
+NAMES = ("va", "vb", "vc", "vd", "r0c0", "r0c1")
+
+
+def fresh(name: str) -> str:
+    """An equal string that is a different object."""
+    copy = name.encode().decode()
+    assert copy == name and copy is not name
+    return copy
+
+
+@st.composite
+def vertex_and_edge_lists(draw):
+    """Vertex lists with repeats; edge lists with repeats and both
+    orientations, given as fresh string objects."""
+    vertices = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=10))
+    distinct = sorted(set(vertices))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(distinct), st.sampled_from(distinct)), max_size=16))
+    edges = [(fresh(u), fresh(v)) for u, v in pairs if u != v]
+    return vertices, edges
+
+
+def assert_same_graph(g: Graph, ref: ReferenceGraph) -> None:
+    assert g.vertices == ref.vertices
+    assert g.edges == ref.edges
+    assert g.to_json_dict() == ref.to_json_dict()
+    for u in NAMES:
+        if u not in ref.vertex_set:
+            assert u not in g
+            continue
+        assert u in g
+        assert g.neighbors(u) == ref.neighbors(u)
+        for v in ref.vertices:
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+
+
+def assert_shares_vertex_objects(g: Graph) -> None:
+    own = {v: v for v in g.vertices}
+    for u, v in g.edges:
+        assert u is own[u] and v is own[v]
+    for u, neighbours in g.adjacency.items():
+        assert u is own[u]
+        assert all(w is own[w] for w in neighbours)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(first=vertex_and_edge_lists(), second=vertex_and_edge_lists(), seed=st.integers(0, 2**16))
+def test_graph_matches_normalized_key_reference(first, second, seed):
+    g1, g2 = Graph(*first), Graph(*second)
+    ref1, ref2 = ReferenceGraph(*first), ReferenceGraph(*second)
+    assert_same_graph(g1, ref1)
+    assert_same_graph(g2, ref2)
+    assert_shares_vertex_objects(g1)
+    assert (g1 == g2) == (g2 == g1) == (ref1 == ref2)
+    if g1 == g2:
+        assert hash(g1) == hash(g2)
+    # the same graph from permuted input: equal, with an equal hash
+    rng = random.Random(seed)
+    vertices, edges = list(first[0]), [(v, u) if rng.random() < 0.5 else (u, v) for u, v in first[1]]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    permuted = Graph(vertices, edges)
+    assert permuted == g1 and g1 == permuted
+    assert hash(permuted) == hash(g1)
+    assert Graph.from_json_dict(json.loads(json.dumps(g1.to_json_dict()))) == g1
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (["va", ""], []),
+        (["va", 3], []),
+        (["va", None], []),
+        (["va"], [("va", "vz")]),
+        (["va"], [("vz", "va")]),
+        (["va"], [("vz", "vz")]),
+        (["va"], [("va", "va")]),
+        (["va", "vb"], [("va", "vb"), ("vb", "vb"), ("vz", "va")]),
+        (["va"], [(["va"], "va")]),
+    ],
+    ids=["empty-id", "int-id", "none-id", "unknown-v", "unknown-u", "unknown-loop", "self-loop",
+         "first-bad-edge", "unhashable"],
+)
+def test_graph_errors_match_reference(vertices, edges):
+    with pytest.raises(Exception) as expected:
+        ReferenceGraph(vertices, edges)
+    with pytest.raises(Exception) as raised:
+        Graph(vertices, edges)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_graph_endpoints_share_vertex_objects():
+    vertices = ["va", "vb", "vc"]
+    g = Graph(vertices, [(fresh("va"), fresh("vb")), (fresh("vc"), fresh("vb")), (fresh("vb"), fresh("va"))])
+    assert all(v is w for v, w in zip(g.vertices, vertices))
+    assert_shares_vertex_objects(g)
+    assert_shares_vertex_objects(grid_to_graph(load_map(MAP_3X3_CENTER)))
+    loaded = Graph.from_json_dict(json.loads(json.dumps(g.to_json_dict())))
+    assert loaded == g
+    assert_shares_vertex_objects(loaded)
+
+
+def test_loaded_paths_share_the_graph_vertex_objects():
+    data = edge_instance_json()
+    data["agents"].append({"name": "a1", "start": "B", "goal": "Z", "path": ["B", "Z"]})
+    inst = instance_from_json_dict(json.loads(json.dumps(data)))
+    own = {v: v for v in inst.graph.vertices}
+    a0, a1 = inst.schedule.agents
+    assert all(v is own[v] for v in (a0.start, a0.goal) + a0.path)
+    assert a1.start is own["B"] and a1.path[0] is own["B"]
+    # a name that is no vertex is kept as given, for validate to report
+    assert a1.goal == "Z" and a1.path[1] == "Z"

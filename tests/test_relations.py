@@ -10,7 +10,7 @@ from mapf_collapse import (
     generate_candidates,
     validate,
 )
-from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, collapse_paths
+from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, CandidateSet, collapse_paths
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
@@ -182,14 +182,38 @@ def test_relation_feasible_selections_validate_and_match_oracle():
         checked += 1
 
 
+def relations_in_original_indices(rel, perm):
+    """Dependencies and invalid actions of rel, whose candidate k is
+    candidate perm[k] of the original order, in original indices."""
+    deps = sorted(
+        (perm[d.action], d.blocker, d.timestep, frozenset(perm[s] for s in d.suitable))
+        for d in rel.dependencies
+    )
+    return deps, sorted(perm[i] for i in rel.invalid)
+
+
 def test_relations_independent_of_candidate_order():
+    # the same candidates in another global order, by (a, agent, b);
+    # each agent's list stays sorted by start, as build_relations needs
     rng = random.Random(29)
-    for _ in range(10):
-        s, _, _ = random_rollout_instance(rng)
-        cands = generate_candidates(s, REDUCED)
-        rel1 = build_relations(s, cands)
-        rel2 = build_relations(s, cands)
-        assert rel1 == rel2
+    schedules = [random_rollout_instance(rng)[0] for _ in range(10)] + list(crowded_schedules())
+    n_deps = reordered = 0
+    for s, mode in itertools.product(schedules, (REDUCED, EXHAUSTIVE)):
+        cands = generate_candidates(s, mode)
+        actions = cands.actions
+        identity = list(range(len(actions)))
+        perm = sorted(range(len(actions)), key=lambda i: (actions[i].a, actions[i].agent, actions[i].b))
+        per_agent: dict[int, list[int]] = {}
+        for k, i in enumerate(perm):
+            per_agent.setdefault(actions[i].agent, []).append(k)
+        permuted = CandidateSet(
+            tuple(actions[i] for i in perm), {j: tuple(own) for j, own in per_agent.items()}
+        )
+        reordered += perm != identity
+        expected = relations_in_original_indices(build_relations(s, cands), identity)
+        assert relations_in_original_indices(build_relations(s, permuted), perm) == expected
+        n_deps += len(expected[0])
+    assert n_deps > 0 and reordered > 0
 
 
 def test_relations_json_dump_shape():
