@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .schedule import AgentRecord, Run, Schedule, move_steps, path_runs
+from .schedule import Run, Schedule, move_steps, path_runs
 
 REDUCED = "reduced"
 EXHAUSTIVE = "exhaustive"
@@ -87,9 +87,11 @@ def collapse_paths(schedule: Schedule, actions) -> Schedule:
     touching/nested with the same vertex); application order is
     immaterial under that guarantee.
     """
-    paths = [list(ag.path) for ag in schedule.agents]
+    paths: dict[int, list[str]] = {}
     for act in actions:
-        row = paths[act.agent]
+        row = paths.get(act.agent)
+        if row is None:
+            row = paths[act.agent] = list(schedule.agents[act.agent].path)
         for t in range(act.a, act.b + 1):
             row[t] = act.x
     return schedule.with_paths(paths)
@@ -155,11 +157,4 @@ def aba_prefilter_detailed(
             mids[:] = blocked
         if not changed:
             break
-    if not rewritten:
-        return schedule, passes
-    out = list(agents)
-    for i, row, _ in pending:
-        if i in rewritten:
-            ag = agents[i]
-            out[i] = AgentRecord(ag.name, ag.start, ag.goal, tuple(row))
-    return Schedule(tuple(out), schedule.horizon), passes
+    return schedule.with_paths({i: row for i, row, _ in pending if i in rewritten}), passes

@@ -45,7 +45,7 @@ from operator import sub
 from .candidates import CandidateSet, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
-from .relations import RelationSet, Span, chain_pairs, overlap_chains
+from .relations import RelationSet, Span, intersecting_pairs, overlap_chains
 from .schedule import FeasibilityReport, Schedule, cost_moves, validate
 
 
@@ -80,7 +80,7 @@ class IlpModel:
     def mutex(self) -> tuple[tuple[int, int], ...]:
         """Every mutex pair, the same-agent overlaps of free variables,
         listed and sorted on first access."""
-        return tuple(sorted(pair for chain in self.chains for pair in chain_pairs(self.spans, chain)))
+        return tuple(intersecting_pairs(self.spans, self.chains))
 
     @cached_property
     def links(self) -> list[list[int]]:

@@ -43,17 +43,15 @@ def brute_force_collapse(
     graph: Graph,
     mode: str = "strict",
     cap: int = DEFAULT_CANDIDATE_CAP,
-    allow_touching: bool = False,
 ) -> OracleResult:
     """Exhaustive search over collapse selections.
 
     Selection indices refer to the exhaustive candidate set in canonical
-    order. With allow_touching, same-agent intervals may share an
-    endpoint (they then collapse to the same vertex by construction);
-    the default requires strict disjointness.
+    order. Same-agent intervals must be disjoint: touching ones conflict,
+    as in the model.
     """
     cands = generate_candidates(schedule, EXHAUSTIVE)
-    return brute_force_over(schedule, graph, cands, mode, cap, allow_touching)
+    return brute_force_over(schedule, graph, cands, mode, cap)
 
 
 def brute_force_over(
@@ -64,7 +62,10 @@ def brute_force_over(
     cap: int = DEFAULT_CANDIDATE_CAP,
     allow_touching: bool = False,
 ) -> OracleResult:
-    """Enumeration core, reusable over any candidate set."""
+    """Enumeration core, reusable over any candidate set. With
+    allow_touching, same-agent intervals may share an endpoint (they then
+    collapse to the same vertex by construction); the default requires
+    strict disjointness."""
     report = validate(schedule, graph, mode)
     if not report.feasible:
         raise InfeasibleInputError(report)

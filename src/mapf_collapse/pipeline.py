@@ -83,6 +83,9 @@ def optimize_schedule(
     moves = report.moves
     cost_before = sum(map(len, moves))
     soc_before = soc_from_moves(schedule, moves)
+    # also the output's: no stage changes a path's last cell, as the
+    # prefilter rewrites steps 1..T-1 only and a collapse over [a, b]
+    # keeps path[b] == x and every later cell
     isr_before = isr(schedule)
 
     working = schedule
@@ -123,7 +126,7 @@ def optimize_schedule(
         "soc_before": soc_before,
         "soc_after": soc_from_moves(final, final_report.moves),
         "isr_before": isr_before,
-        "isr_after": isr(final),
+        "isr_after": isr_before,
         "aba_passes": aba_passes,
         "aba_removed_moves": aba_removed,
         "ilp_saving": solution.saving,

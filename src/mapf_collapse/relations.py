@@ -4,8 +4,7 @@ From a schedule and its candidate set this module extracts:
   * within-agent exclusions: same agent, intersecting intervals. They
     are kept implicit, as each candidate's (agent, a, b) span: one
     agent's candidates form an interval graph, so its conflicts are the
-    overlaps of its spans and never need to be listed. overlap_pairs
-    lists them on request, and RelationSet.exclusions_in does so lazily;
+    overlaps of its spans and never need to be listed;
   * dependencies: a selected collapse parks its agent on x over [a, b],
     so every other agent that visits x in that window must itself be
     moved away by one of its own "suitable" collapses;
@@ -19,10 +18,9 @@ so c depends on that stay, and every suitable member covers the whole
 stay and so overlaps c' on that agent. Selecting c and c' together
 breaks c's dependency or a within-agent exclusion, and if no member
 exists c is invalid.
-RelationSet.exclusions_cross lists them on request, by one sweep per
-vertex over its candidates sorted by start that compares each only with
-the still-open candidates of other agents, so the cost follows the
-pairs reported and not the square of the candidates on a vertex.
+No solver path lists a pair of either kind. intersecting_pairs lists
+them on request, for RelationSet.exclusions_in and exclusions_cross and
+for IlpModel.mutex.
 
 Dependencies are found per stay, an agent's maximal constant run
 (first, last) on one vertex, kept sorted per vertex that some candidate
@@ -37,8 +35,10 @@ Interval intersection is inclusive: touching intervals conflict.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from .candidates import CandidateSet
 from .errors import ConsistencyError
@@ -79,23 +79,28 @@ def overlap_chains(spans: tuple[Span, ...], members) -> list[list[int]]:
     return chains
 
 
-def chain_pairs(spans: tuple[Span, ...], chain: list[int]) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, of one chain's members whose spans intersect."""
-    starts = [spans[i][1] for i in chain]
-    pairs = []
-    for pos, i in enumerate(chain):
-        for j in chain[pos + 1 : bisect_right(starts, spans[i][2])]:
-            pairs.append((i, j) if i < j else (j, i))
-    return pairs
+def intersecting_pairs(spans: tuple[Span, ...], groups) -> list[tuple[int, int]]:
+    """Sorted pairs (i, j), i < j, of members of one group whose spans
+    intersect, touching included.
 
-
-def overlap_pairs(spans: tuple[Span, ...], members) -> list[tuple[int, int]]:
-    """Sorted pairs (i, j), i < j, of members on one agent whose spans intersect."""
+    Each group is sorted by start, and a member meets exactly the later
+    members that start by its end: one bisect of the starts finds them.
+    """
     pairs: list[tuple[int, int]] = []
-    for chain in overlap_chains(spans, members):
-        pairs.extend(chain_pairs(spans, chain))
+    for group in groups:
+        group = sorted(group, key=lambda i: spans[i][1])
+        starts = [spans[i][1] for i in group]
+        for pos, i in enumerate(group):
+            for j in group[pos + 1 : bisect_right(starts, spans[i][2])]:
+                pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
+
+
+def grouped(keys: Sequence) -> list[list[int]]:
+    """Indices of equal keys, one ascending list per key."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [list(group) for _, group in groupby(order, keys.__getitem__)]
 
 
 @dataclass(frozen=True)
@@ -111,61 +116,27 @@ class RelationSet:
     @cached_property
     def exclusions_in(self) -> tuple[tuple[int, int], ...]:
         """Within-agent exclusions as sorted pairs, listed on first access."""
-        return tuple(overlap_pairs(self.spans, range(len(self.spans))))
+        return tuple(intersecting_pairs(self.spans, grouped([agent for agent, _, _ in self.spans])))
 
     @cached_property
     def exclusions_cross(self) -> tuple[tuple[int, int], ...]:
         """Cross-agent exclusions as sorted pairs, listed on first access;
         the dependencies and within-agent exclusions imply them."""
-        by_vertex: dict[str, list[tuple[int, int, int, int]]] = {}
-        for i, ((agent, a, b), x) in enumerate(zip(self.spans, self.vertices)):
-            by_vertex.setdefault(x, []).append((a, b, agent, i))
-        return tuple(sorted(_cross_exclusions(by_vertex)))
+        spans = self.spans
+        return tuple(
+            (i, j) for i, j in intersecting_pairs(spans, grouped(self.vertices)) if spans[i][0] != spans[j][0]
+        )
 
     def to_json_dict(self) -> dict:
         return {
-            "mutex_in": [list(p) for p in self.exclusions_in],
-            "mutex_cross": [list(p) for p in self.exclusions_cross],
+            "spans": [list(span) for span in self.spans],
+            "vertices": list(self.vertices),
             "deps": [
                 {"c": d.action, "j": d.blocker, "k": d.timestep, "S": list(d.suitable)}
                 for d in self.dependencies
             ],
             "invalid": list(self.invalid),
         }
-
-
-def _cross_exclusions(by_vertex: dict[str, list[tuple[int, int, int, int]]]) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, of different agents' candidates on one vertex
-    whose intervals intersect, unsorted; by_vertex lists each vertex's
-    candidates as (a, b, agent, index).
-
-    Each vertex's candidates are swept by start. Every agent keeps its
-    candidates that are still open, and a new candidate is compared only
-    with the open candidates of the other agents; an entry is dropped
-    once its end is below the current start, which no later start can
-    reach. Each comparison reports a pair or drops an entry for good, so
-    the work follows the output, not the square of the group
-    (Preparata & Shamos, Computational Geometry, 1985, 8.8).
-    """
-    pairs: list[tuple[int, int]] = []
-    for group in by_vertex.values():
-        if len(group) < 2:
-            continue
-        open_by_agent: dict[int, list[tuple[int, int]]] = {}  # agent -> [(b, index)]
-        for a, b, agent, i in sorted(group):
-            own = open_by_agent.setdefault(agent, [])
-            if len(open_by_agent) > 1:
-                for other, entries in list(open_by_agent.items()):
-                    if entries is own:
-                        continue
-                    if any(end < a for end, _ in entries):
-                        entries[:] = [e for e in entries if e[0] >= a]
-                        if not entries:
-                            del open_by_agent[other]
-                            continue
-                    pairs.extend((j, i) if j < i else (i, j) for _, j in entries)
-            own.append((b, i))
-    return pairs
 
 
 def build_relations(

@@ -64,13 +64,14 @@ class Schedule:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def with_paths(self, paths: list[list[str]]) -> "Schedule":
-        """Copy with replaced paths (same agents, starts, goals)."""
-        agents = tuple(
-            AgentRecord(ag.name, ag.start, ag.goal, tuple(p))
-            for ag, p in zip(self.agents, paths)
-        )
-        return Schedule(agents, self.horizon)
+    def with_paths(self, paths: dict[int, Sequence[str]]) -> "Schedule":
+        """Copy with paths[i] as agent i's path (same names, starts,
+        goals); every agent not in paths keeps its AgentRecord."""
+        agents = list(self.agents)
+        for i, p in paths.items():
+            ag = agents[i]
+            agents[i] = AgentRecord(ag.name, ag.start, ag.goal, tuple(p))
+        return Schedule(tuple(agents), self.horizon)
 
 
 @dataclass(frozen=True)

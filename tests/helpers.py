@@ -304,6 +304,22 @@ def all_pairs_cross_exclusions(candidates):
     return tuple(pairs)
 
 
+def dumped_pairs(data):
+    """(within-agent, cross-agent) exclusions recomputed from a relation
+    dump's spans and vertices by comparing every pair of candidates, each
+    sorted: the reference for reading the dump."""
+    spans, vertices = data["spans"], data["vertices"]
+    within, cross = [], []
+    for i, j in itertools.combinations(range(len(spans)), 2):
+        (p, a, b), (q, c, d) = spans[i], spans[j]
+        if a <= d and c <= b:
+            if p == q:
+                within.append((i, j))
+            elif vertices[i] == vertices[j]:
+                cross.append((i, j))
+    return tuple(within), tuple(cross)
+
+
 def all_members_components(model):
     """Components of the free variables by union-find over every
     same-agent overlap and every implication owner with each of its free
@@ -456,7 +472,8 @@ def reference_cost_moves(schedule: Schedule) -> int:
 
 
 def count_chain_pairs(spans, chain) -> int:
-    """len(relations.chain_pairs(spans, chain)), with one bisect per span."""
+    """len(relations.intersecting_pairs(spans, [chain])) for a chain
+    sorted by start, with one bisect per span."""
     starts = [spans[i][1] for i in chain]
     return sum(bisect_right(starts, spans[i][2]) - pos - 1 for pos, i in enumerate(chain))
 
@@ -507,7 +524,7 @@ def reference_aba_prefilter(schedule: Schedule, max_passes: int = 16) -> tuple[S
                 changed = True
         if not changed:
             break
-    return schedule.with_paths(paths), passes
+    return schedule.with_paths(dict(enumerate(paths))), passes
 
 
 def reference_runs(path) -> list[tuple[str, int, int]]:

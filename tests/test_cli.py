@@ -6,10 +6,17 @@ import pytest
 
 from mapf_collapse import Instance, load_instance, save_instance
 from mapf_collapse.cli import main
-from mapf_collapse.pipeline import OptimizeConfig
+from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.reduction import reduce_independent_set
 
-from helpers import edge_instance_json, schedule_from_paths, single_edge_graph
+from helpers import (
+    all_pairs_cross_exclusions,
+    dumped_pairs,
+    eager_exclusions_in,
+    edge_instance_json,
+    schedule_from_paths,
+    single_edge_graph,
+)
 
 TINY_MAP = "type octile\nheight 4\nwidth 4\nmap\n....\n....\n....\n....\n"
 
@@ -230,7 +237,14 @@ def test_optimize_relations_dump(gadget_instance, capsys, tmp_path):
     )
     assert code == 0
     rel = json.loads(open(dump).read())
-    assert set(rel) == {"mutex_in", "mutex_cross", "deps", "invalid"}
+    assert set(rel) == {"spans", "vertices", "deps", "invalid"}
+    inst = load_instance(gadget_instance)
+    cands = optimize_schedule(inst.schedule, inst.graph, OptimizeConfig()).candidates
+    assert rel["spans"] == [[c.agent, c.a, c.b] for c in cands.actions]
+    assert rel["vertices"] == [c.x for c in cands.actions]
+    within, cross = dumped_pairs(rel)
+    assert within == eager_exclusions_in(cands) != ()
+    assert cross == all_pairs_cross_exclusions(cands)
 
 
 @pytest.mark.parametrize("command", ["optimize", "bench"])

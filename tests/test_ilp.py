@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 import threading
@@ -31,6 +32,7 @@ from helpers import (
     all_pairs_cross_exclusions,
     brute_force_model,
     crowded_schedules,
+    dumped_pairs,
     eager_exclusions_in,
     eager_mutex,
     pairwise_dominated,
@@ -337,7 +339,9 @@ def test_lazy_pair_lists_match_eager_sweep():
         assert "mutex" not in model.__dict__  # counting lists nothing
         assert "exclusions_cross" not in rel.__dict__  # neither model nor solve reads them
         assert rel.exclusions_in == eager_exclusions_in(cands)
-        assert rel.to_json_dict()["mutex_in"] == [list(p) for p in eager_exclusions_in(cands)]
+        dump = json.loads(json.dumps(rel.to_json_dict()))
+        assert set(dump) == {"spans", "vertices", "deps", "invalid"}
+        assert dumped_pairs(dump) == (eager_exclusions_in(cands), all_pairs_cross_exclusions(cands))
         assert rel.exclusions_cross == all_pairs_cross_exclusions(cands)
         assert model.mutex == reference
         if mode != REDUCED:

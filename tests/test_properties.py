@@ -34,6 +34,7 @@ from mapf_collapse import (
     cell_name,
     cost_moves,
     generate_candidates,
+    isr,
     solve_exact,
     validate,
 )
@@ -74,6 +75,10 @@ def test_pipeline_matches_oracle(seed, size, n_agents, horizon, noise):
     assert validate(result.schedule, g, "relaxed").feasible
     assert stats["optimal"]
     assert stats["upper_bound"] >= stats["saving"]
+    # no stage changes a last cell, so the input's ISR is the output's
+    assert stats["isr_after"] == isr(result.schedule)
+    filtered = optimize_schedule(s, g, OptimizeConfig(mode="relaxed", time_limit_ms=60000))
+    assert filtered.stats["isr_after"] == isr(filtered.schedule)
     try:
         oracle = brute_force_collapse(s, g, "relaxed", cap=16)
     except CapExceededError:

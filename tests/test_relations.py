@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from mapf_collapse.reduction import reduce_independent_set
 from helpers import (
     all_pairs_cross_exclusions,
     crowded_schedules,
+    dumped_pairs,
+    eager_exclusions_in,
     per_step_dependencies,
     random_rollout_instance,
     schedule_from_paths,
@@ -220,7 +223,11 @@ def test_relations_json_dump_shape():
     red = reduce_independent_set(single_edge_graph(), 1)
     cands = generate_candidates(red.schedule, REDUCED)
     rel = build_relations(red.schedule, cands)
-    data = rel.to_json_dict()
-    assert set(data) == {"mutex_in", "mutex_cross", "deps", "invalid"}
-    assert data["mutex_in"] == [[2, 3]]
+    data = json.loads(json.dumps(rel.to_json_dict()))
+    assert set(data) == {"spans", "vertices", "deps", "invalid"}
+    assert data["spans"] == [[c.agent, c.a, c.b] for c in cands.actions]
+    assert data["vertices"] == [c.x for c in cands.actions]
+    within, cross = dumped_pairs(data)
+    assert within == eager_exclusions_in(cands) == ((2, 3),)
+    assert cross == all_pairs_cross_exclusions(cands)
     assert {d["c"] for d in data["deps"]} == {0, 1}
