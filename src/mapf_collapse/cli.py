@@ -188,7 +188,6 @@ def _cmd_gen(args) -> int:
         horizon=args.horizon,
         seed=args.seed,
         noise=args.noise,
-        grid=grid,
     )
     schedule = prioritized_plan(request) if args.mode == "plan" else noisy_rollout(request)
     map_rel = os.path.relpath(args.map, os.path.dirname(os.path.abspath(args.out)) or ".")

@@ -152,9 +152,6 @@ class Graph:
     def __contains__(self, v: str) -> bool:
         return v in self._adj
 
-    def __len__(self) -> int:
-        return len(self._vertices)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -364,8 +364,8 @@ def _solve_component(
         return relaxed, True, 1, root_bound, overlaps
 
     nodes = 1
-    frames: list[tuple[int, int, int]] = []  # (variable, trail mark, saved mark) of each open 0-branch
-    consistent = True
+    frames = [(branch, len(trail), len(saved))]  # (variable, trail mark, saved mark) of each open 0-branch
+    consistent = assign(branch, ONE)
     completed = True
     while True:
         if consistent:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import PlanningError
-from .graph import Graph, GridMap
+from .graph import Graph
 from .schedule import AgentRecord, Schedule
 
 RNG_NAME = "mt19937"
@@ -30,8 +30,6 @@ class PlanRequest:
     horizon: int
     seed: int = 0
     noise: float = 0.0
-    names: tuple[str, ...] = ()
-    grid: GridMap | None = None
 
     def __post_init__(self):
         if len(self.starts) != len(self.goals):
@@ -48,75 +46,58 @@ class PlanRequest:
             raise ValueError("horizon must be >= 1")
         for v in list(self.starts) + list(self.goals):
             self.graph.require(v)
-        if self.names and len(self.names) != len(self.starts):
-            raise ValueError("names must match the number of agents")
-
-    def agent_names(self) -> tuple[str, ...]:
-        if self.names:
-            return self.names
-        return tuple(f"a{i}" for i in range(len(self.starts)))
 
 
 def prioritized_plan(request: PlanRequest) -> Schedule:
     """Plan agents one by one with a space-time reservation table.
 
-    Earlier agents' paths are reserved (vertices, edge transitions, and
-    their goal forever after arrival). Raises PlanningError when an
-    agent has no conflict-free route within the horizon cap.
+    Earlier agents' paths are reserved: their (vertex, timestep) cells,
+    their edge transitions, and their goal forever after arrival. Two
+    dicts keyed by vertex make each test one lookup: parked_from maps an
+    earlier agent's goal to its arrival, and last_reserved maps a vertex
+    to the last timestep any earlier path holds it, so an agent may stop
+    on its goal once the search is past that timestep. Agents are named
+    a0, a1, ... Raises PlanningError when an agent has no conflict-free
+    route within the horizon cap.
     """
     g = request.graph
-    names = request.agent_names()
     reserved_vertex: set[tuple[str, int]] = set()
     reserved_edge: set[tuple[int, str, str]] = set()
-    parked: list[tuple[str, int]] = []  # (vertex, resting from timestep)
-    max_reserved_t = 0
+    parked_from: dict[str, int] = {}
+    last_reserved: dict[str, int] = {}
     paths: list[list[str]] = []
-
-    def blocked(v: str, t: int) -> bool:
-        if (v, t) in reserved_vertex:
-            return True
-        return any(pv == v and t >= pt for pv, pt in parked)
 
     for i, (start, goal) in enumerate(zip(request.starts, request.goals)):
         dist = g.bfs_distances(goal)
         if start not in dist:
-            raise PlanningError(names[i], f"goal {goal!r} unreachable from start {start!r}")
-
-        def goal_free_from(t: int) -> bool:
-            if any(pv == goal for pv, _ in parked):
-                return False
-            return not any((goal, tt) in reserved_vertex for tt in range(t, max_reserved_t + 1))
+            raise PlanningError(f"a{i}", f"goal {goal!r} unreachable from start {start!r}")
+        # goals are distinct, so no earlier agent parks on this one
+        goal_reserved_until = last_reserved.get(goal, -1)
 
         # space-time search; unit costs mean g == t, so (v, t) is closed on
         # first generation. Ties prefer smaller h (push toward the goal).
-        startstate = (start, 0)
-        visited = {startstate}
-        parent: dict[tuple[str, int], tuple[str, int] | None] = {startstate: None}
+        # Every state lies in the goal's component, so dist covers it.
+        parent: dict[tuple[str, int], tuple[str, int] | None] = {(start, 0): None}
         heap: list[tuple[int, int, str, int]] = [(dist[start], dist[start], start, 0)]
         found = None
         while heap:
             f, h, v, t = heapq.heappop(heap)
-            if v == goal and goal_free_from(t):
+            if v == goal and t > goal_reserved_until:
                 found = (v, t)
                 break
             if t >= request.horizon:
                 continue
+            nt = t + 1
             for w in [v] + g.neighbors(v):
-                nt = t + 1
-                if w not in dist:
-                    continue
-                if blocked(w, nt):
-                    continue
-                if (nt - 1, w, v) in reserved_edge:
-                    continue
                 state = (w, nt)
-                if state in visited:
+                if state in parent or state in reserved_vertex or (t, w, v) in reserved_edge:
                     continue
-                visited.add(state)
+                if w in parked_from and nt >= parked_from[w]:
+                    continue
                 parent[state] = (v, t)
                 heapq.heappush(heap, (nt + dist[w], dist[w], w, nt))
         if found is None:
-            raise PlanningError(names[i], "no conflict-free path within the horizon cap")
+            raise PlanningError(f"a{i}", "no conflict-free path within the horizon cap")
 
         path = []
         cur: tuple[str, int] | None = found
@@ -124,20 +105,19 @@ def prioritized_plan(request: PlanRequest) -> Schedule:
             path.append(cur[0])
             cur = parent[cur]
         path.reverse()
-        arrival = len(path) - 1
         for t, v in enumerate(path):
             reserved_vertex.add((v, t))
+            last_reserved[v] = max(last_reserved.get(v, t), t)
             if t > 0:
                 reserved_edge.add((t - 1, path[t - 1], v))
-        parked.append((goal, arrival))
-        max_reserved_t = max(max_reserved_t, arrival)
+        parked_from[goal] = len(path) - 1
         paths.append(path)
 
     horizon = max(len(p) - 1 for p in paths)
     agents = []
     for i, path in enumerate(paths):
         padded = path + [request.goals[i]] * (horizon - (len(path) - 1))
-        agents.append(AgentRecord(names[i], request.starts[i], request.goals[i], tuple(padded)))
+        agents.append(AgentRecord(f"a{i}", request.starts[i], request.goals[i], tuple(padded)))
     return Schedule(tuple(agents), horizon)
 
 
@@ -153,7 +133,6 @@ def noisy_rollout(request: PlanRequest) -> Schedule:
     """
     g = request.graph
     rng = random.Random(request.seed)
-    names = request.agent_names()
     n = len(request.starts)
     dists = [g.bfs_distances(goal) for goal in request.goals]
     paths: list[list[str]] = [[s] for s in request.starts]
@@ -184,8 +163,7 @@ def noisy_rollout(request: PlanRequest) -> Schedule:
                 if here not in d:
                     choice = here  # goal unreachable, hold position
                 else:
-                    ranked = sorted(options, key=lambda w: (d.get(w, len(g) + 1), w))
-                    choice = ranked[0]
+                    choice = min(options, key=lambda w: (d[w], w))
                     if not feasible(choice):
                         choice = here
             decided_next.add(choice)
@@ -200,7 +178,7 @@ def noisy_rollout(request: PlanRequest) -> Schedule:
 
     horizon = len(paths[0]) - 1
     agents = tuple(
-        AgentRecord(names[i], request.starts[i], request.goals[i], tuple(paths[i]))
+        AgentRecord(f"a{i}", request.starts[i], request.goals[i], tuple(paths[i]))
         for i in range(n)
     )
     return Schedule(agents, horizon)

@@ -100,17 +100,6 @@ class RoundtripReport:
     m: int
     alpha_from_cost: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "agree": self.agree,
-            "alpha": self.alpha,
-            "opt_cost": self.opt_cost,
-            "beta": self.beta,
-            "c0": self.c0,
-            "m": self.m,
-            "alpha_from_cost": self.alpha_from_cost,
-        }
-
 
 def optimal_collapsed_cost(red: ReductionOutput, time_limit: float | None = None) -> int:
     """Exact optimal cost of the reduced instance via the built-in solver."""

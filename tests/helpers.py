@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from bisect import bisect_right
@@ -11,6 +12,7 @@ from mapf_collapse import (
     Graph,
     GridMap,
     IlpModel,
+    PlanningError,
     PlanRequest,
     Schedule,
     UnknownVertexError,
@@ -163,7 +165,6 @@ def random_rollout_instance(
         horizon=horizon,
         seed=rng.randrange(1 << 30),
         noise=noise,
-        grid=grid,
     )
     return noisy_rollout(request), graph, grid
 
@@ -591,3 +592,145 @@ def reference_agent_density(schedule: Schedule, grid: GridMap, fov: int = 11) ->
             total += inside / denom
             count += 1
     return total / count
+
+
+def reference_prioritized_plan(request: PlanRequest) -> Schedule:
+    """prioritized_plan with a linear scan over the parked goals at every
+    search step and a scan over the goal's reserved timesteps at every
+    pop: the reference.
+
+    Earlier agents' paths are reserved (vertices, edge transitions, and
+    their goal forever after arrival). Raises PlanningError when an
+    agent has no conflict-free route within the horizon cap.
+    """
+    g = request.graph
+    names = [f"a{i}" for i in range(len(request.starts))]
+    reserved_vertex: set[tuple[str, int]] = set()
+    reserved_edge: set[tuple[int, str, str]] = set()
+    parked: list[tuple[str, int]] = []  # (vertex, resting from timestep)
+    max_reserved_t = 0
+    paths: list[list[str]] = []
+
+    def blocked(v: str, t: int) -> bool:
+        if (v, t) in reserved_vertex:
+            return True
+        return any(pv == v and t >= pt for pv, pt in parked)
+
+    for i, (start, goal) in enumerate(zip(request.starts, request.goals)):
+        dist = g.bfs_distances(goal)
+        if start not in dist:
+            raise PlanningError(names[i], f"goal {goal!r} unreachable from start {start!r}")
+
+        def goal_free_from(t: int) -> bool:
+            if any(pv == goal for pv, _ in parked):
+                return False
+            return not any((goal, tt) in reserved_vertex for tt in range(t, max_reserved_t + 1))
+
+        startstate = (start, 0)
+        visited = {startstate}
+        parent: dict[tuple[str, int], tuple[str, int] | None] = {startstate: None}
+        heap: list[tuple[int, int, str, int]] = [(dist[start], dist[start], start, 0)]
+        found = None
+        while heap:
+            f, h, v, t = heapq.heappop(heap)
+            if v == goal and goal_free_from(t):
+                found = (v, t)
+                break
+            if t >= request.horizon:
+                continue
+            for w in [v] + g.neighbors(v):
+                nt = t + 1
+                if w not in dist:
+                    continue
+                if blocked(w, nt):
+                    continue
+                if (nt - 1, w, v) in reserved_edge:
+                    continue
+                state = (w, nt)
+                if state in visited:
+                    continue
+                visited.add(state)
+                parent[state] = (v, t)
+                heapq.heappush(heap, (nt + dist[w], dist[w], w, nt))
+        if found is None:
+            raise PlanningError(names[i], "no conflict-free path within the horizon cap")
+
+        path = []
+        cur: tuple[str, int] | None = found
+        while cur is not None:
+            path.append(cur[0])
+            cur = parent[cur]
+        path.reverse()
+        arrival = len(path) - 1
+        for t, v in enumerate(path):
+            reserved_vertex.add((v, t))
+            if t > 0:
+                reserved_edge.add((t - 1, path[t - 1], v))
+        parked.append((goal, arrival))
+        max_reserved_t = max(max_reserved_t, arrival)
+        paths.append(path)
+
+    horizon = max(len(p) - 1 for p in paths)
+    agents = []
+    for i, path in enumerate(paths):
+        padded = path + [request.goals[i]] * (horizon - (len(path) - 1))
+        agents.append(AgentRecord(names[i], request.starts[i], request.goals[i], tuple(padded)))
+    return Schedule(tuple(agents), horizon)
+
+
+def reference_noisy_rollout(request: PlanRequest) -> Schedule:
+    """noisy_rollout with a full sort of each greedy step's options and a
+    default distance for vertices outside the goal's component: the
+    reference."""
+    g = request.graph
+    rng = random.Random(request.seed)
+    n = len(request.starts)
+    dists = [g.bfs_distances(goal) for goal in request.goals]
+    paths: list[list[str]] = [[s] for s in request.starts]
+    current = list(request.starts)
+
+    for _ in range(request.horizon):
+        decided_next: set[str] = set()
+        decided_moves: set[tuple[str, str]] = set()
+        undecided_cells = set(current)
+        next_positions: list[str] = []
+        for i in range(n):
+            here = current[i]
+            undecided_cells.discard(here)
+            options = [here] + g.neighbors(here)
+
+            def feasible(w: str) -> bool:
+                if w in decided_next or w in undecided_cells:
+                    return False
+                if w != here and (w, here) in decided_moves:
+                    return False
+                return True
+
+            if rng.random() < request.noise:
+                pool = [w for w in options if feasible(w)]
+                choice = pool[rng.randrange(len(pool))] if pool else here
+            else:
+                d = dists[i]
+                if here not in d:
+                    choice = here
+                else:
+                    ranked = sorted(options, key=lambda w: (d.get(w, len(g.vertices) + 1), w))
+                    choice = ranked[0]
+                    if not feasible(choice):
+                        choice = here
+            decided_next.add(choice)
+            if choice != here:
+                decided_moves.add((here, choice))
+            next_positions.append(choice)
+        current = next_positions
+        for i in range(n):
+            paths[i].append(current[i])
+        if all(current[i] == request.goals[i] for i in range(n)):
+            break
+
+    horizon = len(paths[0]) - 1
+    agents = tuple(
+        AgentRecord(f"a{i}", request.starts[i], request.goals[i], tuple(paths[i]))
+        for i in range(n)
+    )
+    return Schedule(agents, horizon)

@@ -17,6 +17,8 @@ from mapf_collapse import (
 )
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 
+from helpers import reference_noisy_rollout, reference_prioritized_plan
+
 
 def empty_graph(size):
     return grid_to_graph(GridMap(size, size, frozenset()))
@@ -164,3 +166,38 @@ def test_noisy_rollouts_usually_collapsible():
         if result.stats["saving"] > 0:
             wins += 1
     assert wins >= 95
+
+
+def _outcome(generate, request):
+    try:
+        return generate(request)
+    except PlanningError as exc:
+        return str(exc)
+
+
+def test_generators_match_reference():
+    """Both generators give the reference's schedule, or its PlanningError
+    message, on small random grids with up to 35% obstacles (often split
+    into components), tight horizons and noise 0, 0.3 and 1."""
+    rng = random.Random(17)
+    failed = 0
+    for case in range(400):
+        height, width = rng.randint(2, 7), rng.randint(2, 7)
+        cells = [(r, c) for r in range(height) for c in range(width)]
+        grid = GridMap(height, width, frozenset(rng.sample(cells, int(rng.uniform(0, 0.35) * len(cells)))))
+        free = [f"r{r}c{c}" for r, c in grid.free_cells()]
+        g = grid_to_graph(grid)
+        n = rng.randint(1, min(6, len(free) // 2))
+        req = PlanRequest(
+            g,
+            tuple(rng.sample(free, n)),
+            tuple(rng.sample(free, n)),
+            horizon=rng.randint(1, height + width + 4),
+            seed=rng.randrange(1 << 20),
+            noise=rng.choice((0.0, 0.3, 1.0)),
+        )
+        plan = _outcome(prioritized_plan, req)
+        assert plan == _outcome(reference_prioritized_plan, req), f"prioritized_plan, case {case}"
+        assert noisy_rollout(req) == reference_noisy_rollout(req), f"noisy_rollout, case {case}"
+        failed += isinstance(plan, str)
+    assert 50 < failed < 300  # both outcomes are exercised
