@@ -183,18 +183,11 @@ class Graph:
         return u == v or v in self._adj[u]
 
     def bfs_distances(self, source: str) -> dict[str, int]:
-        """Hop distance from source to every reachable vertex."""
-        self.require(source)
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            d = dist[u] + 1
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    queue.append(w)
-        return dist
+        """Hop distance from source to every reachable vertex: a
+        LazyDistances labelling the whole component."""
+        lazy = LazyDistances(self, source)
+        lazy.label_until(None)
+        return lazy.dist
 
     def to_json_dict(self) -> dict:
         return {"vertices": list(self._vertices), "edges": [[u, v] for u, v in self._edges]}
@@ -210,6 +203,42 @@ class Graph:
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise ValueError("graph JSON 'edges' must be a list of 2-item lists")
         return cls(vertices, [tuple(e) for e in edges])
+
+
+class LazyDistances:
+    """Hop distances from one source, found breadth-first on demand.
+
+    ``dist`` maps every vertex labelled so far to its final distance.
+    Breadth-first order labels all vertices at distance k - 1 before
+    any at distance k, so once a vertex at distance k is in ``dist``,
+    a vertex missing from it lies at distance k or more. Read ``dist``
+    first and call label_until only on a miss; the labels and the queue
+    are kept between calls.
+    """
+
+    __slots__ = ("dist", "_adj", "_queue")
+
+    def __init__(self, graph: Graph, source: str):
+        graph.require(source)
+        self.dist: dict[str, int] = {source: 0}
+        self._adj = graph._adj
+        self._queue = deque([source])
+
+    def label_until(self, target: str | None) -> int | None:
+        """Label vertices until target is labelled and return its
+        distance; None when the source's component runs out first, which
+        it always does for target None."""
+        dist, adj, queue = self.dist, self._adj, self._queue
+        while target not in dist:
+            if not queue:
+                return None
+            u = queue.popleft()
+            d = dist[u] + 1
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    queue.append(w)
+        return dist[target]
 
 
 def grid_to_graph(m: GridMap) -> Graph:

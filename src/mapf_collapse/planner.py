@@ -7,6 +7,10 @@ each agent greedily follows a shortest route but takes a uniformly
 random feasible step with probability p. Rollouts are bit-reproducible
 for a fixed seed (Mersenne Twister via random.Random, fixed agent and
 timestep ordering).
+
+Both find goal distances on demand: a LazyDistances per goal labels the
+map breadth-first only as far out as the visited vertices, and each
+call sorts a visited vertex's options once.
 """
 
 from __future__ import annotations
@@ -16,10 +20,23 @@ import random
 from dataclasses import dataclass
 
 from .errors import PlanningError
-from .graph import Graph
+from .graph import Graph, LazyDistances
 from .schedule import AgentRecord, Schedule
 
 RNG_NAME = "mt19937"
+
+
+class _Options(dict):
+    """Vertex -> [vertex] + its sorted neighbours: the wait first, then
+    the moves. One per generator call, each entry built on first use."""
+
+    def __init__(self, graph: Graph):
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, v: str) -> list[str]:
+        options = self[v] = [v] + self.graph.neighbors(v)
+        return options
 
 
 @dataclass(frozen=True)
@@ -66,17 +83,19 @@ def prioritized_plan(request: PlanRequest) -> Schedule:
     parked_from: dict[str, int] = {}
     last_reserved: dict[str, int] = {}
     paths: list[list[str]] = []
+    options_of = _Options(g)
 
     for i, (start, goal) in enumerate(zip(request.starts, request.goals)):
-        dist = g.bfs_distances(goal)
-        if start not in dist:
+        lazy = LazyDistances(g, goal)
+        dist = lazy.dist
+        if lazy.label_until(start) is None:
             raise PlanningError(f"a{i}", f"goal {goal!r} unreachable from start {start!r}")
         # goals are distinct, so no earlier agent parks on this one
         goal_reserved_until = last_reserved.get(goal, -1)
 
         # space-time search; unit costs mean g == t, so (v, t) is closed on
         # first generation. Ties prefer smaller h (push toward the goal).
-        # Every state lies in the goal's component, so dist covers it.
+        # Every state lies in the goal's component, so label_until finds it.
         parent: dict[tuple[str, int], tuple[str, int] | None] = {(start, 0): None}
         heap: list[tuple[int, int, str, int]] = [(dist[start], dist[start], start, 0)]
         found = None
@@ -88,14 +107,17 @@ def prioritized_plan(request: PlanRequest) -> Schedule:
             if t >= request.horizon:
                 continue
             nt = t + 1
-            for w in [v] + g.neighbors(v):
+            for w in options_of[v]:
                 state = (w, nt)
                 if state in parent or state in reserved_vertex or (t, w, v) in reserved_edge:
                     continue
                 if w in parked_from and nt >= parked_from[w]:
                     continue
                 parent[state] = (v, t)
-                heapq.heappush(heap, (nt + dist[w], dist[w], w, nt))
+                h = dist.get(w)
+                if h is None:
+                    h = lazy.label_until(w)
+                heapq.heappush(heap, (nt + h, h, w, nt))
         if found is None:
             raise PlanningError(f"a{i}", "no conflict-free path within the horizon cap")
 
@@ -134,7 +156,9 @@ def noisy_rollout(request: PlanRequest) -> Schedule:
     g = request.graph
     rng = random.Random(request.seed)
     n = len(request.starts)
-    dists = [g.bfs_distances(goal) for goal in request.goals]
+    lazies = [LazyDistances(g, goal) for goal in request.goals]
+    options_of = _Options(g)
+    far = len(g.vertices)  # beyond every hop distance
     paths: list[list[str]] = [[s] for s in request.starts]
     current = list(request.starts)
 
@@ -146,7 +170,7 @@ def noisy_rollout(request: PlanRequest) -> Schedule:
         for i in range(n):
             here = current[i]
             undecided_cells.discard(here)
-            options = [here] + g.neighbors(here)
+            options = options_of[here]
 
             def feasible(w: str) -> bool:
                 if w in decided_next or w in undecided_cells:
@@ -159,11 +183,14 @@ def noisy_rollout(request: PlanRequest) -> Schedule:
                 pool = [w for w in options if feasible(w)]
                 choice = pool[rng.randrange(len(pool))] if pool else here
             else:
-                d = dists[i]
-                if here not in d:
+                lazy = lazies[i]
+                d = lazy.dist
+                if here not in d and lazy.label_until(here) is None:
                     choice = here  # goal unreachable, hold position
                 else:
-                    choice = min(options, key=lambda w: (d[w], w))
+                    # here is labelled, so is a neighbour one hop nearer
+                    # the goal; an unlabelled option is no nearer than here
+                    choice = min(options, key=lambda w: (d.get(w, far), w))
                     if not feasible(choice):
                         choice = here
             decided_next.add(choice)

@@ -594,10 +594,28 @@ def reference_agent_density(schedule: Schedule, grid: GridMap, fov: int = 11) ->
     return total / count
 
 
+def reference_bfs_distances(g: Graph, source: str) -> dict[str, int]:
+    """Hop distance from source to every vertex of its component, by a
+    full breadth-first search over g.neighbors: the reference for
+    Graph.bfs_distances and LazyDistances."""
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def reference_prioritized_plan(request: PlanRequest) -> Schedule:
-    """prioritized_plan with a linear scan over the parked goals at every
-    search step and a scan over the goal's reserved timesteps at every
-    pop: the reference.
+    """prioritized_plan with each goal's distances found up front by
+    reference_bfs_distances, a linear scan over the parked goals at
+    every search step and a scan over the goal's reserved timesteps at
+    every pop: the reference.
 
     Earlier agents' paths are reserved (vertices, edge transitions, and
     their goal forever after arrival). Raises PlanningError when an
@@ -617,7 +635,7 @@ def reference_prioritized_plan(request: PlanRequest) -> Schedule:
         return any(pv == v and t >= pt for pv, pt in parked)
 
     for i, (start, goal) in enumerate(zip(request.starts, request.goals)):
-        dist = g.bfs_distances(goal)
+        dist = reference_bfs_distances(g, goal)
         if start not in dist:
             raise PlanningError(names[i], f"goal {goal!r} unreachable from start {start!r}")
 
@@ -679,13 +697,14 @@ def reference_prioritized_plan(request: PlanRequest) -> Schedule:
 
 
 def reference_noisy_rollout(request: PlanRequest) -> Schedule:
-    """noisy_rollout with a full sort of each greedy step's options and a
-    default distance for vertices outside the goal's component: the
-    reference."""
+    """noisy_rollout with each goal's distances found up front by
+    reference_bfs_distances, a full sort of each greedy step's options
+    and a default distance for vertices outside the goal's component:
+    the reference."""
     g = request.graph
     rng = random.Random(request.seed)
     n = len(request.starts)
-    dists = [g.bfs_distances(goal) for goal in request.goals]
+    dists = [reference_bfs_distances(g, goal) for goal in request.goals]
     paths: list[list[str]] = [[s] for s in request.starts]
     current = list(request.starts)
 

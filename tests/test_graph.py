@@ -13,11 +13,11 @@ from mapf_collapse import (
     grid_to_graph,
     load_map,
 )
-from mapf_collapse.graph import derive_grid
+from mapf_collapse.graph import LazyDistances, derive_grid
 from mapf_collapse.reduction import reduce_independent_set
 from mapf_collapse.schedule import instance_from_json_dict
 
-from helpers import ReferenceGraph, edge_instance_json, single_edge_graph
+from helpers import ReferenceGraph, edge_instance_json, reference_bfs_distances, single_edge_graph
 
 MAP_3X3_CENTER = "type octile\nheight 3\nwidth 3\nmap\n...\n.@.\n...\n"
 
@@ -150,6 +150,47 @@ def test_bfs_distances():
     g = grid_to_graph(GridMap(1, 4, frozenset()))
     d = g.bfs_distances("r0c0")
     assert d == {"r0c0": 0, "r0c1": 1, "r0c2": 2, "r0c3": 3}
+
+
+def _split_graph(rng: random.Random) -> Graph:
+    """A sparse random graph or an obstacle-heavy grid: both usually
+    fall into several components."""
+    if rng.random() < 0.5:
+        names = [f"v{i}" for i in range(rng.randint(2, 40))]
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+        return Graph(names, rng.sample(pairs, rng.randint(0, len(names))))
+    size = rng.randint(2, 12)
+    cells = [(r, c) for r in range(size) for c in range(size)]
+    blocked = frozenset(rng.sample(cells, int(rng.uniform(0.2, 0.45) * len(cells))))
+    return grid_to_graph(GridMap(size, size, blocked))
+
+
+def test_lazy_distances_match_full_bfs():
+    """Queried in random order, with or without the other components'
+    vertices held back to the end, and again after the component is
+    exhausted, every answer equals a full BFS, every kept label is final,
+    the labels cover every vertex nearer than the farthest label, and the
+    answer is None exactly outside the source's component."""
+    rng = random.Random(29)
+    partial = 0
+    for case in range(300):
+        g = _split_graph(rng)
+        source = rng.choice(g.vertices)
+        full = reference_bfs_distances(g, source)
+        assert g.bfs_distances(source) == full, f"case {case}"
+        queries = rng.sample(g.vertices, len(g.vertices))
+        if rng.random() < 0.5:
+            queries.sort(key=lambda v: v not in full)  # stable: inside first
+        queries += rng.choices(g.vertices, k=5)
+        lazy = LazyDistances(g, source)
+        for v in queries:
+            assert lazy.label_until(v) == full.get(v), f"case {case}, vertex {v}"
+            assert lazy.dist.items() <= full.items(), f"case {case}"
+            reach = max(lazy.dist.values())
+            assert all(u in lazy.dist for u, d in full.items() if d < reach), f"case {case}"
+            partial += len(lazy.dist) < len(full)
+        assert lazy.dist == full
+    assert partial > 1000  # many queries answer before the component is exhausted
 
 
 def test_derive_grid_round_trip():

@@ -175,29 +175,44 @@ def _outcome(generate, request):
         return str(exc)
 
 
+def _random_request(rng, min_side, max_side, min_agents, max_agents, max_horizon):
+    height, width = rng.randint(min_side, max_side), rng.randint(min_side, max_side)
+    cells = [(r, c) for r in range(height) for c in range(width)]
+    grid = GridMap(height, width, frozenset(rng.sample(cells, int(rng.uniform(0, 0.35) * len(cells)))))
+    free = [f"r{r}c{c}" for r, c in grid.free_cells()]
+    n = rng.randint(min_agents, min(max_agents, len(free) // 2))
+    return PlanRequest(
+        grid_to_graph(grid),
+        tuple(rng.sample(free, n)),
+        tuple(rng.sample(free, n)),
+        horizon=rng.randint(1, max_horizon(height, width)),
+        seed=rng.randrange(1 << 20),
+        noise=rng.choice((0.0, 0.3, 1.0)),
+    )
+
+
+def _check_generators(req, case) -> bool:
+    """Assert both generators match the reference; True if planning failed."""
+    plan = _outcome(prioritized_plan, req)
+    assert plan == _outcome(reference_prioritized_plan, req), f"prioritized_plan, case {case}"
+    assert noisy_rollout(req) == reference_noisy_rollout(req), f"noisy_rollout, case {case}"
+    return isinstance(plan, str)
+
+
 def test_generators_match_reference():
     """Both generators give the reference's schedule, or its PlanningError
-    message, on small random grids with up to 35% obstacles (often split
-    into components), tight horizons and noise 0, 0.3 and 1."""
+    message, on random grids with up to 35% obstacles (often split into
+    components) and noise 0, 0.3 and 1: small grids with tight horizons,
+    and 16-32 cells per side with 8-12 agents and horizons up to 60, where
+    an agent's goal distances are labelled only part of the way out."""
     rng = random.Random(17)
-    failed = 0
-    for case in range(400):
-        height, width = rng.randint(2, 7), rng.randint(2, 7)
-        cells = [(r, c) for r in range(height) for c in range(width)]
-        grid = GridMap(height, width, frozenset(rng.sample(cells, int(rng.uniform(0, 0.35) * len(cells)))))
-        free = [f"r{r}c{c}" for r, c in grid.free_cells()]
-        g = grid_to_graph(grid)
-        n = rng.randint(1, min(6, len(free) // 2))
-        req = PlanRequest(
-            g,
-            tuple(rng.sample(free, n)),
-            tuple(rng.sample(free, n)),
-            horizon=rng.randint(1, height + width + 4),
-            seed=rng.randrange(1 << 20),
-            noise=rng.choice((0.0, 0.3, 1.0)),
-        )
-        plan = _outcome(prioritized_plan, req)
-        assert plan == _outcome(reference_prioritized_plan, req), f"prioritized_plan, case {case}"
-        assert noisy_rollout(req) == reference_noisy_rollout(req), f"noisy_rollout, case {case}"
-        failed += isinstance(plan, str)
+    failed = sum(
+        _check_generators(_random_request(rng, 2, 7, 1, 6, lambda h, w: h + w + 4), case)
+        for case in range(400)
+    )
     assert 50 < failed < 300  # both outcomes are exercised
+    failed = sum(
+        _check_generators(_random_request(rng, 16, 32, 8, 12, lambda h, w: 60), f"large {case}")
+        for case in range(12)
+    )
+    assert 0 < failed < 12
