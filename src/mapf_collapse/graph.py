@@ -259,7 +259,9 @@ def derive_grid(g: Graph) -> GridMap | None:
     """Reconstruct a GridMap from canonical cell names, if possible.
 
     Cells that are not vertices count as blocked. Returns None when any
-    vertex does not parse as "r<row>c<col>".
+    vertex does not parse as "r<row>c<col>", and when the map would have
+    more cells than the graph has vertices and edges, so that the work
+    stays linear in the size of the graph however large its names.
     """
     coords = []
     for v in g.vertices:
@@ -271,6 +273,8 @@ def derive_grid(g: Graph) -> GridMap | None:
         return None
     height = max(r for r, _ in coords) + 1
     width = max(c for _, c in coords) + 1
+    if height * width > len(coords) + len(g.edges):
+        return None
     free = set(coords)
     blocked = frozenset(
         (r, c) for r in range(height) for c in range(width) if (r, c) not in free

@@ -4,8 +4,9 @@ prioritized_plan produces clean strict-mode schedules via space-time
 search against a reservation table. noisy_rollout emulates the jittery,
 oscillation-heavy schedules that next-action policies tend to produce:
 each agent greedily follows a shortest route but takes a uniformly
-random feasible step with probability p. Rollouts are bit-reproducible
-for a fixed seed (Mersenne Twister via random.Random, fixed agent and
+random step with probability p, stepping in turn against one set of
+the cells taken at that timestep. Rollouts are bit-reproducible for a
+fixed seed (Mersenne Twister via random.Random, fixed agent and
 timestep ordering).
 
 Both find goal distances on demand: a LazyDistances per goal labels the
@@ -146,42 +147,34 @@ def prioritized_plan(request: PlanRequest) -> Schedule:
 def noisy_rollout(request: PlanRequest) -> Schedule:
     """Step agents toward their goals with probability 1-p of greediness.
 
-    Per timestep, agents move in index order under a shared reservation:
-    no two agents may claim the same next vertex, nobody may enter the
-    current cell of an agent that has not moved yet, and swaps are
-    rejected. Any blocked choice falls back to waiting, which is always
-    safe under these rules, so the result always validates in relaxed
-    mode. Stops early once every agent rests on its goal.
+    Per timestep, agents move in index order against one set of taken
+    cells: it starts as every agent's current cell, and at its turn an
+    agent drops its own cell, picks among the options not taken, and
+    takes its choice. So no two agents claim the same next vertex and
+    nobody enters the cell of an agent that has not moved yet. Swaps
+    cannot arise: an agent enters another's cell only after that agent
+    has chosen, and that agent could not choose the first one's cell,
+    which was still taken. Waiting is always free, so a blocked greedy
+    step waits and the result always validates in relaxed mode. Stops
+    early once every agent rests on its goal.
     """
     g = request.graph
     rng = random.Random(request.seed)
-    n = len(request.starts)
-    lazies = [LazyDistances(g, goal) for goal in request.goals]
+    goals = list(request.goals)
+    lazies = [LazyDistances(g, goal) for goal in goals]
     options_of = _Options(g)
     far = len(g.vertices)  # beyond every hop distance
     paths: list[list[str]] = [[s] for s in request.starts]
     current = list(request.starts)
 
     for _ in range(request.horizon):
-        decided_next: set[str] = set()
-        decided_moves: set[tuple[str, str]] = set()
-        undecided_cells = set(current)
-        next_positions: list[str] = []
-        for i in range(n):
-            here = current[i]
-            undecided_cells.discard(here)
+        taken = set(current)
+        for i, here in enumerate(current):
+            taken.discard(here)
             options = options_of[here]
-
-            def feasible(w: str) -> bool:
-                if w in decided_next or w in undecided_cells:
-                    return False
-                if w != here and (w, here) in decided_moves:
-                    return False  # someone already decided the reverse traversal
-                return True
-
             if rng.random() < request.noise:
-                pool = [w for w in options if feasible(w)]
-                choice = pool[rng.randrange(len(pool))] if pool else here
+                pool = [w for w in options if w not in taken]
+                choice = pool[rng.randrange(len(pool))]
             else:
                 lazy = lazies[i]
                 d = lazy.dist
@@ -191,21 +184,17 @@ def noisy_rollout(request: PlanRequest) -> Schedule:
                     # here is labelled, so is a neighbour one hop nearer
                     # the goal; an unlabelled option is no nearer than here
                     choice = min(options, key=lambda w: (d.get(w, far), w))
-                    if not feasible(choice):
+                    if choice in taken:
                         choice = here
-            decided_next.add(choice)
-            if choice != here:
-                decided_moves.add((here, choice))
-            next_positions.append(choice)
-        current = next_positions
-        for i in range(n):
-            paths[i].append(current[i])
-        if all(current[i] == request.goals[i] for i in range(n)):
+            taken.add(choice)
+            current[i] = choice
+            paths[i].append(choice)
+        if current == goals:
             break
 
     horizon = len(paths[0]) - 1
     agents = tuple(
-        AgentRecord(f"a{i}", request.starts[i], request.goals[i], tuple(paths[i]))
-        for i in range(n)
+        AgentRecord(f"a{i}", request.starts[i], goals[i], tuple(path))
+        for i, path in enumerate(paths)
     )
     return Schedule(agents, horizon)

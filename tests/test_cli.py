@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -472,6 +473,25 @@ def test_bench_off_map_vertex_leaves_density_blank(tmp_path, capsys):
     assert rows["far"]["error"] == "UnknownVertexError: 'r40c0'"
     assert rows["next"]["error"] == "UnknownVertexError: 'r4c0'"
     assert rows["far"]["agent_density"] == rows["next"]["agent_density"] == ""
+
+
+def test_sparse_cell_names_load_without_a_grid(tmp_path, capsys):
+    # two vertices whose bounding box has 4M cells
+    agent = {"name": "a0", "start": "r0c0", "goal": "r0c0", "path": ["r0c0", "r0c0"]}
+    data = {"graph": {"vertices": ["r0c0", "r2000c2000"], "edges": []}, "horizon": 1, "agents": [agent]}
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    path = bench_dir / "sparse.json"
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "validate", str(path))
+    assert code == 0 and json.loads(out)["feasible"] is True
+    out_csv = str(tmp_path / "sparse.csv")
+    code, out = run(capsys, "bench", str(bench_dir), "--out", out_csv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and json.loads(out)["errors"] == 0
+    (row,) = read_rows(out_csv)
+    assert row["agent_density"] == ""
 
 
 def strip_timing_columns(path):

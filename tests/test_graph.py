@@ -203,6 +203,14 @@ def test_derive_grid_abstract_graph():
     assert derive_grid(Graph(["A", "B"], [("A", "B")])) is None
 
 
+def test_derive_grid_only_when_the_map_is_no_larger_than_the_graph():
+    # 3 vertices + 1 edge: a 1x4 box is a map, a 1x5 box is not
+    edge = [("r0c0", "r0c1")]
+    m = derive_grid(Graph(["r0c0", "r0c1", "r0c3"], edge))
+    assert m == GridMap(1, 4, frozenset({(0, 2)}))
+    assert derive_grid(Graph(["r0c0", "r0c1", "r0c4"], edge)) is None
+
+
 # ------------------------------------------ one object per vertex name
 
 NAMES = ("va", "vb", "vc", "vd", "r0c0", "r0c1")
