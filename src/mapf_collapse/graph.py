@@ -18,7 +18,7 @@ from .errors import MapParseError, UnknownVertexError
 
 Coord = tuple[int, int]
 
-_CELL_RE = re.compile(r"^r(\d+)c(\d+)$")
+_CELL_RE = re.compile(r"r(0|[1-9][0-9]*)c(0|[1-9][0-9]*)")
 
 OBSTACLE_CHARS = frozenset("@T")
 FREE_CHAR = "."
@@ -29,11 +29,16 @@ def cell_name(row: int, col: int) -> str:
 
 
 def parse_cell(name: str) -> Coord | None:
-    """Return (row, col) for a canonical grid vertex name, else None."""
-    m = _CELL_RE.match(name)
+    """Return (row, col) for a canonical grid vertex name, else None.
+
+    Only names that cell_name writes parse: ASCII digits without leading
+    zeros and nothing after them, so no two names read as one cell.
+    """
+    m = _CELL_RE.fullmatch(name)
     if m is None:
         return None
-    return int(m.group(1)), int(m.group(2))
+    row, col = m.groups()
+    return int(row), int(col)
 
 
 @dataclass(frozen=True)

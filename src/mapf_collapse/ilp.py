@@ -19,13 +19,14 @@ scheduling problem per agent (Kleinberg & Tardos, Algorithm Design,
 optima bounds the component (the Lagrangian bound with all multipliers
 at zero). A component without implications is one agent's overlap
 chain, solved by the DP alone. A coupled one starts from the empty
-selection and is proved at the root when its bound is 0 or its relaxed
-optimum is feasible; otherwise a depth-first search on an explicit
-stack runs. Each node recomputes the DP of the agents whose variables
-changed, is pruned when the bound does not beat the incumbent, and is
-closed when the relaxed optimum meets every implication. Otherwise it
-branches, 1 first, on the first unmet implication: on its owner, and
-once the owner is 1, on its heaviest undecided suitable member.
+selection and is searched depth first, in one loop over a stack of
+decisions whose first entry is the root; the root alone proves it when
+its bound is 0 or its relaxed optimum is feasible. Each node recomputes
+the DP of the agents whose variables changed, is pruned when the bound
+does not beat the incumbent, and is closed when the relaxed optimum
+meets every implication. Otherwise it branches, 1 first, on the first
+unmet implication: on its owner, and once the owner is 1, on its
+heaviest undecided suitable member.
 Same-agent exclusions propagate by bisecting the agent's spans sorted
 by end. The search's first dive is also its anytime answer ("diving",
 Achterberg, Constraint Integer Programming, 2007): a deadline stops a
@@ -83,16 +84,16 @@ class IlpModel:
         return tuple(intersecting_pairs(self.spans, self.chains))
 
     @cached_property
-    def links(self) -> list[list[int]]:
-        """Per variable, the indices into implications that it owns. An
-        implication owned by a variable fixed to zero is vacuous and is
-        left out. Built once and only read by the search; no member set
-        is walked here."""
-        owned: list[list[int]] = [[] for _ in range(self.n_vars)]
+    def links(self) -> list[list[tuple[int, ...]]]:
+        """Per variable, the member set of each implication that it owns.
+        An implication owned by a variable fixed to zero is vacuous and
+        is left out. Built once and only read by the search; no member
+        set is walked here."""
+        owned: list[list[tuple[int, ...]]] = [[] for _ in range(self.n_vars)]
         fixed = self.fixed_zero
-        for imp, (owner, _) in enumerate(self.implications):
+        for owner, suitable in self.implications:
             if owner not in fixed:
-                owned[owner].append(imp)
+                owned[owner].append(suitable)
         return owned
 
 
@@ -244,23 +245,28 @@ def _solve_component(
     """Exact search on one component: (selected, proved, nodes, bound,
     same-agent overlapping pairs).
 
-    The empty selection is the first incumbent. The deadline is read
-    only once the search has reached a feasible leaf, so a component it
-    cuts keeps at least its first dive's selection. bound is the proved
-    optimum, or the root relaxation's value when the deadline cut the
-    search. val holds every variable's state; it is shared between the
-    disjoint components of one solve.
+    The search is one loop over a stack of decisions (variable, value,
+    trail mark, saved mark). The root is the first entry and decides
+    nothing; a node that branches pushes its 0-decision and then its
+    1-decision, so 1 is tried first. A popped decision undoes the
+    assignments and DP results past its marks, then assigns. The empty
+    selection is the first incumbent. The deadline is read only once the
+    search has reached a feasible leaf, so a component it cuts keeps at
+    least its first dive's selection. bound is the proved optimum, or
+    the root relaxation's value when the deadline cut the search. val
+    holds every variable's state; it is shared between the disjoint
+    components of one solve.
 
     Fixing a variable to 1 fixes its same-agent overlaps to 0; per
     implication it owns, a single member not fixed to 0 is fixed to 1,
-    and none is a contradiction. Fixing to 0 propagates
-    nothing: a member set may hold hundreds of variables, each listed in
-    hundreds of sets. Implications are checked where the bound needs
-    them, on the relaxed optimum: an undecided owner found there with no
-    member left is fixed to 0 and the node relaxed again, and an owner
-    at 1 with none left ends the node.
+    and none is a contradiction. Fixing to 0 propagates nothing: a
+    member set may hold hundreds of variables, each listed in hundreds
+    of sets. Implications are checked where the bound needs them, on
+    the relaxed optimum: an undecided owner found there with no member
+    left is fixed to 0 and the node relaxed again, and an owner at 1
+    with none left ends the node.
     """
-    weights, spans, implications = model.weights, model.spans, model.implications
+    weights, spans = model.weights, model.spans
     owned = model.links
     by_agent: dict[int, list[int]] = {}
     for v in comp:
@@ -268,24 +274,13 @@ def _solve_component(
     agents = {agent: _Agent(members, model) for agent, members in by_agent.items()}
     overlaps = sum(agent.n_overlaps for agent in agents.values())
 
-    # relax() keeps each agent's DP result in cache and recomputes the
-    # agents in dirty; undo() restores the results saved before a change
+    # each agent's DP result, recomputed for the agents in dirty; saved
+    # holds the results they replaced, trail the variables assigned
     cache: dict[int, tuple[int, list[int]]] = {agent: (0, []) for agent in agents}
     dirty = set(agents)
     saved: list[tuple[int, tuple[int, list[int]]]] = []
     trail: list[int] = []
     total = 0
-
-    def relax() -> int:
-        nonlocal total
-        for agent in dirty:
-            old = cache[agent]
-            saved.append((agent, old))
-            fresh = agents[agent].solve(val)
-            total += fresh[0] - old[0]
-            cache[agent] = fresh
-        dirty.clear()
-        return total
 
     def violation(selection: list[int]) -> int:
         """The variable to branch on for the first unmet implication,
@@ -293,8 +288,7 @@ def _solve_component(
         REVISED after fixing an owner to 0."""
         chosen = set(selection)
         for v in selection:
-            for imp in owned[v]:
-                suitable = implications[imp][1]
+            for suitable in owned[v]:
                 if chosen.isdisjoint(suitable):
                     if val[v] == ONE:
                         undecided = [s for s in suitable if val[s] == UNDEC]
@@ -326,66 +320,61 @@ def _solve_component(
                         return False
                     if val[u] == UNDEC:
                         queue.append((u, ZERO))
-                for imp in owned[v]:
-                    members = [s for s in implications[imp][1] if val[s] != ZERO]
+                for suitable in owned[v]:
+                    members = [s for s in suitable if val[s] != ZERO]
                     if not members:
                         return False
                     if len(members) == 1:
                         queue.append((members[0], ONE))
         return True
 
-    def undo(mark: int, saved_mark: int) -> None:
+    def evaluate() -> tuple[int, list[int], int]:
+        """(bound, relaxed optimum, violation result) of the current node."""
         nonlocal total
+        while True:
+            for agent in dirty:
+                old = cache[agent]
+                saved.append((agent, old))
+                fresh = agents[agent].solve(val)
+                total += fresh[0] - old[0]
+                cache[agent] = fresh
+            dirty.clear()
+            if total <= best_saving:
+                return total, [], PRUNED
+            relaxed = [v for agent in agents for v in cache[agent][1]]
+            branch = violation(relaxed)
+            if branch != REVISED:
+                return total, relaxed, branch
+
+    best: list[int] = []
+    best_saving = root_bound = nodes = 0
+    completed = True
+    stack = [(None, UNDEC, 0, 0)]  # the root: assigns nothing and keeps every agent dirty
+    while stack:
+        var, x, mark, saved_mark = stack.pop()
         while len(trail) > mark:
             val[trail.pop()] = UNDEC
         while len(saved) > saved_mark:
             agent, old = saved.pop()
             total += old[0] - cache[agent][0]
             cache[agent] = old
-        dirty.clear()
-
-    def evaluate() -> tuple[int, list[int], int]:
-        """(bound, relaxed optimum, violation result) of the current node."""
-        while True:
-            bound = relax()
-            if bound <= best_saving:
-                return bound, [], PRUNED
-            relaxed = [v for agent in agents for v in cache[agent][1]]
-            branch = violation(relaxed)
-            if branch != REVISED:
-                return bound, relaxed, branch
-
-    best: list[int] = []
-    best_saving = 0
-    root_bound, relaxed, branch = evaluate()
-    if branch == PRUNED:  # nothing is 1 at the root: the bound is 0
-        return best, True, 1, 0, overlaps
-    if branch == FEASIBLE:
-        return relaxed, True, 1, root_bound, overlaps
-
-    nodes = 1
-    frames = [(branch, len(trail), len(saved))]  # (variable, trail mark, saved mark) of each open 0-branch
-    consistent = assign(branch, ONE)
-    completed = True
-    while True:
-        if consistent:
-            nodes += 1
-            # best is non-empty from the first feasible leaf on: its bound beat 0
-            if best and deadline is not None and time.monotonic() > deadline:
-                completed = False
-                break
-            bound, relaxed, branch = evaluate()
-            if branch == FEASIBLE:
-                best, best_saving = relaxed, bound
-            elif branch != PRUNED:
-                frames.append((branch, len(trail), len(saved)))
-                consistent = assign(branch, ONE)
+        if var is not None:
+            dirty.clear()
+            if not assign(var, x):
                 continue
-        if not frames:
+        nodes += 1
+        # best is non-empty from the first feasible leaf on: its bound beat 0
+        if best and deadline is not None and time.monotonic() > deadline:
+            completed = False
             break
-        branch, mark, saved_mark = frames.pop()
-        undo(mark, saved_mark)
-        consistent = assign(branch, ZERO)
+        bound, relaxed, branch = evaluate()
+        if nodes == 1:
+            root_bound = bound
+        if branch == FEASIBLE:
+            best, best_saving = relaxed, bound
+        elif branch != PRUNED:
+            stack.append((branch, ZERO, len(trail), len(saved)))
+            stack.append((branch, ONE, len(trail), len(saved)))
     proved = completed or best_saving == root_bound
     return best, proved, nodes, best_saving if proved else root_bound, overlaps
 

@@ -93,11 +93,6 @@ class ReferenceGraph:
         return {"vertices": list(self.vertices), "edges": [[u, v] for u, v in self.edges]}
 
 
-def line_graph(n, prefix="v"):
-    vs = [f"{prefix}{i}" for i in range(n)]
-    return Graph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
-
-
 def complete_graph(names):
     names = list(names)
     edges = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]

@@ -494,6 +494,20 @@ def test_sparse_cell_names_load_without_a_grid(tmp_path, capsys):
     assert row["agent_density"] == ""
 
 
+def test_aliased_cell_names_load_without_a_grid(tmp_path, capsys):
+    # read as a 2x2 map, r01c1 and r1c1 would be one cell holding both agents
+    agents = [{"name": f"a{k}", "start": v, "goal": v, "path": [v, v]} for k, v in enumerate(("r01c1", "r1c1"))]
+    data = {"graph": {"vertices": ["r0c0", "r0c1", "r1c0", "r1c1", "r01c1"], "edges": []}, "horizon": 1, "agents": agents}
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "aliased.json").write_text(json.dumps(data))
+    out_csv = str(tmp_path / "aliased.csv")
+    code, out = run(capsys, "bench", str(bench_dir), "--out", out_csv)
+    assert code == 0 and json.loads(out)["errors"] == 0
+    (row,) = read_rows(out_csv)
+    assert row["agent_density"] == ""
+
+
 def strip_timing_columns(path):
     rows = read_rows(path)
     for r in rows:

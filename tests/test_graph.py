@@ -12,6 +12,7 @@ from mapf_collapse import (
     UnknownVertexError,
     grid_to_graph,
     load_map,
+    parse_cell,
 )
 from mapf_collapse.graph import LazyDistances, derive_grid
 from mapf_collapse.reduction import reduce_independent_set
@@ -209,6 +210,20 @@ def test_derive_grid_only_when_the_map_is_no_larger_than_the_graph():
     m = derive_grid(Graph(["r0c0", "r0c1", "r0c3"], edge))
     assert m == GridMap(1, 4, frozenset({(0, 2)}))
     assert derive_grid(Graph(["r0c0", "r0c1", "r0c4"], edge)) is None
+
+
+ALIASES_OF_R1C1 = ["r01c1", "r1c01", "r1c1\n", "r\u0661c1"]  # the last is an Arabic-Indic one
+
+
+@pytest.mark.parametrize("name", ALIASES_OF_R1C1 + ["r00c0", "r0c00"])
+def test_parse_cell_reads_only_canonical_names(name):
+    assert parse_cell(name) is None
+
+
+@pytest.mark.parametrize("alias", ALIASES_OF_R1C1)
+def test_graph_with_an_aliased_cell_name_is_not_a_map(alias):
+    # read as a 2x2 map, two of its vertices would be one cell
+    assert derive_grid(Graph(["r0c0", "r0c1", "r1c0", "r1c1", alias], [])) is None
 
 
 # ------------------------------------------ one object per vertex name

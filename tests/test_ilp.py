@@ -526,6 +526,39 @@ def test_reduced_models_have_no_dominated_variable():
             assert pairwise_dominated(model, comp) == []
 
 
+# (nodes_explored, saving) per crowded schedule: the node counts pin the
+# order in which the search visits nodes, not only the optimum
+CROWDED_SEARCH_UNLIMITED = [
+    (5, 12), (3, 12), (5, 16), (3, 12), (5, 22), (3, 8), (3, 8), (5, 14), (3, 12), (5, 14),
+    (3, 8), (3, 14), (5, 12), (3, 12), (7, 22), (3, 14), (3, 8), (7, 18), (5, 16), (7, 20),
+    (11, 72), (4, 54), (1, 54), (5, 50), (2, 42), (4, 58), (2, 72), (1, 46), (2, 50), (4, 92),
+    (3, 68), (5, 88), (2, 86), (5, 82), (2, 88), (2, 78), (1, 32), (2, 86), (1, 98), (3, 46),
+    (2, 70), (2, 98), (5, 90), (2, 74), (1, 98), (1, 104), (15, 70), (2, 50), (3, 70), (1, 104),
+    (1, 46), (13, 88), (1, 80), (1, 40), (5, 92), (12, 80), (3, 84), (4, 52), (4, 82), (3, 76),
+    (2, 70), (2, 54), (2, 82), (3, 84), (4, 64), (2, 84), (3, 76), (3, 62), (4, 52), (1, 56),
+]
+CROWDED_SEARCH_ZERO_BUDGET = [
+    (4, 12), (3, 12), (3, 14), (3, 12), (3, 22), (3, 8), (3, 8), (3, 12), (3, 12), (3, 12),
+    (3, 8), (3, 12), (3, 10), (3, 10), (4, 20), (3, 12), (3, 8), (4, 18), (3, 14), (3, 18),
+    (7, 72), (4, 54), (1, 54), (5, 50), (2, 42), (4, 58), (2, 72), (1, 46), (2, 50), (4, 92),
+    (3, 68), (5, 88), (2, 86), (5, 82), (2, 88), (2, 78), (1, 32), (2, 86), (1, 98), (3, 46),
+    (2, 70), (2, 98), (5, 90), (2, 74), (1, 98), (1, 104), (6, 70), (2, 50), (3, 70), (1, 104),
+    (1, 46), (8, 84), (1, 80), (1, 40), (5, 92), (9, 76), (3, 84), (4, 52), (4, 82), (3, 76),
+    (2, 70), (2, 54), (2, 82), (3, 84), (4, 64), (2, 84), (3, 76), (3, 62), (4, 52), (1, 56),
+]
+
+
+@pytest.mark.parametrize(
+    "budget, expected", [(None, CROWDED_SEARCH_UNLIMITED), (0.0, CROWDED_SEARCH_ZERO_BUDGET)]
+)
+def test_search_order_on_crowded_schedules_is_pinned(budget, expected):
+    got = []
+    for model in crowded_models(REDUCED):
+        sol = solve_exact(model, budget)
+        got.append((sol.nodes_explored, sol.saving))
+    assert got == expected
+
+
 def branching_model():
     h = Graph([f"u{i}" for i in range(5)], [(f"u{i}", f"u{(i + 1) % 5}") for i in range(5)])
     red = reduce_independent_set(h, 1)

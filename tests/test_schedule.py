@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,7 @@ from mapf_collapse.schedule import Instance, settle_time
 from helpers import (
     open_grid,
     random_rollout_instance,
+    reference_agent_density,
     schedule_from_paths,
     single_edge_graph,
     triangle_graph,
@@ -223,6 +225,20 @@ def test_agent_density_rejects_abstract_schedule():
     s = schedule_from_paths([["A", "A"]])
     with pytest.raises(UnsupportedScheduleError):
         agent_density(s, open_grid(4, 4))
+
+
+def test_agent_density_builds_bands_for_visited_rows_and_columns_only():
+    # one band per map column of a 1 x 20,000 map would take tens of MB
+    grid = GridMap(1, 20_000, frozenset())
+    s = schedule_from_paths([[f"r0c{c}" for c in range(5)]])
+    tracemalloc.start()
+    try:
+        density = agent_density(s, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert density == reference_agent_density(s, grid)
+    assert peak < 1_000_000
 
 
 def test_agent_density_rejects_even_fov():
