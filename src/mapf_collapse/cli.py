@@ -39,6 +39,7 @@ from .schedule import (
     load_json,
     read_map_file,
     save_instance,
+    save_json,
     validate,
 )
 
@@ -58,12 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _dump(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _write_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _add_optimize_flags(p: argparse.ArgumentParser) -> None:
@@ -138,9 +133,9 @@ def _cmd_optimize(args) -> int:
     out_path = args.out or f"{stem}.optimized.json"
     stats_path = args.stats or f"{stem}.stats.json"
     save_instance(Instance(inst.graph, result.schedule, inst.grid, inst.map_name), out_path)
-    _write_json(result.stats, stats_path)
+    save_json(result.stats, stats_path)
     if args.dump_relations:
-        _write_json(result.relations.to_json_dict(), args.dump_relations)
+        save_json(result.relations.to_json_dict(), args.dump_relations)
     _dump(result.stats)
     return EXIT_OK
 
@@ -199,7 +194,7 @@ def _cmd_gen(args) -> int:
             for ag in schedule.agents
         ],
     }
-    _write_json(data, args.out)
+    save_json(data, args.out)
     _dump(
         {
             "out": args.out,

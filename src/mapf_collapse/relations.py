@@ -27,7 +27,9 @@ Dependencies are found per stay, an agent's maximal constant run
 parks on. A blocker's candidate on another vertex starts and ends on
 that vertex, so if it covers one step of the blocker's stay on x it
 covers the whole stay: the suitable set is the same at every step of a
-stay and is computed once for it.
+stay and is computed once for it. A candidate's stays are walked once
+in their stored order; an empty suitable set makes the candidate
+invalid, and an invalid candidate records no dependency.
 
 Interval intersection is inclusive: touching intervals conflict.
 """
@@ -39,6 +41,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 
 from .candidates import CandidateSet
 from .errors import ConsistencyError
@@ -149,12 +152,14 @@ def build_relations(
     candidates.per_agent list must be sorted by start a (suitable sets
     are found by bisecting it); the global order of the actions is free.
     runs[i] may give agent i's constant runs (schedule.path_runs), which
-    are found from the paths when it is not given. Dependencies are
-    recorded per (action, blocking stay), at the first step the stay
-    shares with [a, b]; stays are scanned in step order, agents in index
-    order, and exact duplicates (same action, same suitable set) are
-    merged. An action whose suitable set is empty for some stay becomes
-    invalid and its remaining dependency scan is abandoned.
+    are found from the paths when it is not given. An action's blocking
+    stays are the other agents' stays on its vertex that meet [a, b],
+    walked in (first, last, agent) order. Each records a dependency at
+    the first step it shares with [a, b], max(a, first), unless the
+    action already has one with the same suitable set; equal sets belong
+    to one agent, whose stays on x meet [a, b] in step order, so the
+    earliest is kept. An action with an empty suitable set at some stay
+    is invalid and records no dependency.
     """
     actions = candidates.actions
     T = schedule.horizon
@@ -173,49 +178,37 @@ def build_relations(
                 stays[v].append((first, last, j))
     for vstays in stays.values():
         vstays.sort()
-    stay_firsts = {x: [first for first, _, _ in vstays] for x, vstays in stays.items()}
-    starts = {j: [actions[s].a for s in own] for j, own in candidates.per_agent.items()}
     suitable_by_stay: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def suitable_during(j: int, first: int, last: int, x: str) -> tuple[int, ...]:
-        """j's candidates off x that cover its whole stay (first, last) on x."""
-        key = (j, first)
-        found = suitable_by_stay.get(key)
-        if found is None:
-            own = candidates.per_agent.get(j, ())
-            found = tuple(
-                s
-                for s in own[: bisect_left(starts.get(j, ()), first)]
-                if actions[s].b > last and actions[s].x != x
-            )
-            suitable_by_stay[key] = found
-        return found
 
     dependencies: list[Dependency] = []
     invalid: list[int] = []
     for ci, c in enumerate(actions):
         vstays = stays[c.x]
-        # each blocker stay meeting [a, b], in the order a step-by-step
-        # scan would first reach it: by (step, agent)
-        meeting = sorted(
-            (max(c.a, first), j, first, last)
-            for first, last, j in vstays[: bisect_right(stay_firsts[c.x], c.b)]
-            if last >= c.a and j != c.agent
-        )
-        seen_suitable: set[tuple[int, ...]] = set()
-        for k, j, first, last in meeting:
-            suitable = suitable_during(j, first, last, c.x)
+        found: dict[tuple[int, ...], Dependency] = {}
+        for first, last, j in vstays[: bisect_right(vstays, c.b, key=itemgetter(0))]:
+            if last < c.a or j == c.agent:
+                continue
+            suitable = suitable_by_stay.get((j, first))
+            if suitable is None:
+                # j's candidates off x that cover its whole stay on x
+                own = candidates.per_agent.get(j, ())
+                suitable = suitable_by_stay[j, first] = tuple(
+                    s
+                    for s in own[: bisect_left(own, first, key=lambda i: actions[i].a)]
+                    if actions[s].b > last and actions[s].x != c.x
+                )
             if not suitable:
                 invalid.append(ci)
                 break
-            if suitable not in seen_suitable:
-                seen_suitable.add(suitable)
-                dependencies.append(Dependency(ci, j, k, suitable))
+            if suitable not in found:
+                found[suitable] = Dependency(ci, j, max(c.a, first), suitable)
+        else:
+            dependencies.extend(found.values())
 
     dependencies.sort(key=lambda d: (d.action, d.blocker, d.timestep))
     return RelationSet(
         tuple((c.agent, c.a, c.b) for c in actions),
         tuple(c.x for c in actions),
         tuple(dependencies),
-        tuple(sorted(invalid)),
+        tuple(invalid),
     )

@@ -217,20 +217,9 @@ def cost_moves(schedule: Schedule) -> int:
     return sum(sum(map(ne, ag.path, ag.path[1:])) for ag in schedule.agents)
 
 
-def settle_time(path: tuple[str, ...], goal: str) -> int:
-    """Smallest t with path[k] == goal for all k >= t; T if never settled."""
-    T = len(path) - 1
-    if path[T] != goal:
-        return T
-    t = T
-    while t > 0 and path[t - 1] == goal:
-        t -= 1
-    return t
-
-
 def soc(schedule: Schedule) -> int:
     """Sum over agents of their settle times (flowtime)."""
-    return sum(settle_time(ag.path, ag.goal) for ag in schedule.agents)
+    return soc_from_moves(schedule, [move_steps(ag.path) for ag in schedule.agents])
 
 
 def isr(schedule: Schedule) -> float:
@@ -444,7 +433,12 @@ def load_instance(path: str) -> Instance:
     return instance_from_json_dict(load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def save_instance(instance: Instance, path: str) -> None:
+def save_json(obj, path: str) -> None:
+    """Write obj as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_instance(instance: Instance, path: str) -> None:
+    save_json(instance.to_json_dict(), path)

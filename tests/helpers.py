@@ -208,15 +208,15 @@ def per_step_dependencies(schedule, candidates):
     For each action, every step k of [a, b] in order, every other agent
     standing on x at k in index order, and its suitable set found by a
     linear scan over its candidates. A suitable set already recorded for
-    the action is skipped; an empty one makes the action invalid and
-    ends its scan.
+    the action is skipped; an empty one makes the action invalid, ends
+    its scan and drops the dependencies it had recorded.
     """
     from mapf_collapse.relations import Dependency
 
     actions = candidates.actions
     dependencies, invalid = [], []
     for ci, c in enumerate(actions):
-        seen, bad = set(), False
+        seen, found, bad = set(), [], False
         for k in range(c.a, c.b + 1):
             for j, ag in enumerate(schedule.agents):
                 if j == c.agent or ag.path[k] != c.x:
@@ -232,9 +232,11 @@ def per_step_dependencies(schedule, candidates):
                     break
                 if suitable not in seen:
                     seen.add(suitable)
-                    dependencies.append(Dependency(ci, j, k, suitable))
+                    found.append(Dependency(ci, j, k, suitable))
             if bad:
                 break
+        else:
+            dependencies.extend(found)
     dependencies.sort(key=lambda d: (d.action, d.blocker, d.timestep))
     return tuple(dependencies), tuple(sorted(invalid))
 
@@ -465,6 +467,18 @@ def reference_cost_moves(schedule: Schedule) -> int:
         p = ag.path
         total += sum(1 for t in range(len(p) - 1) if p[t] != p[t + 1])
     return total
+
+
+def settle_time(path, goal) -> int:
+    """Smallest t with path[k] == goal for all k >= t; T if never
+    settled, cell by cell: the reference for soc_from_moves."""
+    T = len(path) - 1
+    if path[T] != goal:
+        return T
+    t = T
+    while t > 0 and path[t - 1] == goal:
+        t -= 1
+    return t
 
 
 def count_chain_pairs(spans, chain) -> int:

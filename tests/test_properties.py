@@ -7,7 +7,8 @@ prefilter's triple scan rewrites what the per-cell scan rewrites, in as
 many passes, and the move count, settle times and runs read from
 validate's move steps equal their per-cell references. Over rollouts
 and colliding paths every cross-agent exclusion is implied by the
-model's fixed zeros, implications and same-agent overlaps. Over
+model's fixed zeros, implications and same-agent overlaps, and the
+dependencies and invalid candidates are the per-step scan's. Over
 malformed files the CLI exits with its documented code, never a
 traceback."""
 
@@ -41,12 +42,13 @@ from mapf_collapse import (
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, aba_prefilter_detailed
 from mapf_collapse.cli import main
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
-from mapf_collapse.schedule import MODES, RELAXED, move_steps, path_runs, settle_time, soc_from_moves
+from mapf_collapse.schedule import MODES, RELAXED, move_steps, path_runs, soc_from_moves
 
 from helpers import (
     brute_force_model,
     complete_graph,
     edge_instance_json,
+    per_step_dependencies,
     random_rollout_instance,
     reference_aba_prefilter,
     reference_agent_density,
@@ -54,6 +56,7 @@ from helpers import (
     reference_runs,
     reference_validate,
     schedule_from_paths,
+    settle_time,
 )
 
 
@@ -256,6 +259,19 @@ def test_cross_pairs_are_implied_by_the_model(schedule, mode):
         assert c in model.fixed_zero or d in model.fixed_zero or implied(c, d) or implied(d, c)
     if len(model.free()) <= 16:
         assert solve_exact(model, None).saving == brute_force_model(model, rel.exclusions_cross)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    schedule=st.one_of(rollout_schedules(), oscillating_schedules()),
+    mode=st.sampled_from([REDUCED, EXHAUSTIVE]),
+)
+def test_dependencies_match_per_step_scan_on_shared_cells(schedule, mode):
+    # oscillating paths put several agents on one vertex at one step, so
+    # blocking stays of different agents share their first step
+    cands = generate_candidates(schedule, mode)
+    rel = build_relations(schedule, cands)
+    assert (rel.dependencies, rel.invalid) == per_step_dependencies(schedule, cands)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 
 from mapf_collapse import (
     Graph,
+    build_model,
     build_relations,
     cost_moves,
     generate_candidates,
@@ -124,6 +125,20 @@ def test_dependencies_match_per_step_scan(mode):
         cands = generate_candidates(s, mode)
         rel = build_relations(s, cands)
         assert (rel.dependencies, rel.invalid) == per_step_dependencies(s, cands)
+
+
+@pytest.mark.parametrize("mode", [REDUCED, EXHAUSTIVE])
+def test_invalid_candidates_record_no_dependencies(mode):
+    n_invalid = 0
+    for s in crowded_schedules():
+        cands = generate_candidates(s, mode)
+        rel = build_relations(s, cands)
+        assert not {d.action for d in rel.dependencies} & set(rel.invalid)
+        if mode == REDUCED:
+            # no reduced candidate weighs 0, so only invalid ones are fixed
+            assert len(rel.dependencies) == len(build_model(rel, cands).implications)
+        n_invalid += len(rel.invalid)
+    assert n_invalid > 0
 
 
 def test_dependency_timestep_is_first_shared_step():

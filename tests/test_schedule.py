@@ -22,13 +22,14 @@ from mapf_collapse import (
 )
 from mapf_collapse.candidates import collapse_paths
 from mapf_collapse.reduction import reduce_independent_set
-from mapf_collapse.schedule import Instance, settle_time
+from mapf_collapse.schedule import Instance
 
 from helpers import (
     open_grid,
     random_rollout_instance,
     reference_agent_density,
     schedule_from_paths,
+    settle_time,
     single_edge_graph,
     triangle_graph,
 )
@@ -172,7 +173,9 @@ def test_soc_after_collapse(gadget):
 
 
 def test_settle_time_never_settled():
+    # an agent off its goal at the horizon counts T, even if it passed it
     assert settle_time(("A", "B", "A"), "B") == 2
+    assert soc(schedule_from_paths([["A", "B", "A"]], goals=["B"])) == 2
 
 
 def test_isr_fully_solved(gadget):
