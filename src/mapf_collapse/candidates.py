@@ -34,14 +34,22 @@ class CollapseAction:
 
 @dataclass(frozen=True)
 class CandidateSet:
+    """Collapse candidates of one schedule, sorted by (agent, a, b).
+
+    per_agent[j] is the range of agent j's candidates, empty if it has
+    none. stays[x] lists every agent's stays (first, last, agent) on
+    each vertex x that some candidate collapses onto, sorted.
+    """
+
     actions: tuple[CollapseAction, ...]
-    per_agent: dict[int, tuple[int, ...]]
+    per_agent: dict[int, range]
+    stays: dict[str, list[tuple[int, int, int]]]
 
 
 def generate_candidates(
     schedule: Schedule, mode: str = REDUCED, runs: list[list[Run]] | None = None
 ) -> CandidateSet:
-    """Enumerate collapse candidates for every agent.
+    """Enumerate every agent's collapse candidates and the stays on their vertices.
 
     runs[i] may give agent i's constant runs (schedule.path_runs); they
     are found from the paths when it is not given.
@@ -60,24 +68,32 @@ def generate_candidates(
     if runs is None:
         runs = [path_runs(ag.path, move_steps(ag.path)) for ag in schedule.agents]
     actions: list[CollapseAction] = []
+    per_agent: dict[int, range] = {}
+    stays: dict[str, list[tuple[int, int, int]]] = {}
     for i, agent_runs in enumerate(runs):
-        # per vertex: (run index, step as a, step as b) of each usable visit
-        visits: dict[str, list[tuple[int, int, int]]] = {}
+        start = len(actions)
+        # per vertex: the indices of the agent's runs on it
+        visits: dict[str, list[int]] = {}
         for r, (v, first, last) in enumerate(agent_runs):
-            slot = visits.setdefault(v, [])
+            stays.setdefault(v, []).append((first, last, i))
+            visits.setdefault(v, []).append(r)
+        for x, rs in visits.items():
+            if len(rs) < 2 and mode == REDUCED:
+                continue
+            # (run index, step as a, step as b) of each usable visit
             if mode == EXHAUSTIVE:
-                slot.extend((r, t, t) for t in range(first, last + 1))
+                vs = [(r, t, t) for r in rs for t in range(agent_runs[r][1], agent_runs[r][2] + 1)]
             else:
-                slot.append((r, last, first))
-        for x, vs in visits.items():
+                vs = [(r, agent_runs[r][2], agent_runs[r][1]) for r in rs]
             for p, (ra, a, _) in enumerate(vs):
                 for rb, _, b in vs[p + 1 :]:
                     actions.append(CollapseAction(i, a, b, x, rb - ra))
+        per_agent[i] = range(start, len(actions))
+    # agents come in order, so the sort keeps each one's recorded range
     actions.sort(key=lambda c: (c.agent, c.a, c.b))
-    per_agent: dict[int, list[int]] = {}
-    for idx, c in enumerate(actions):
-        per_agent.setdefault(c.agent, []).append(idx)
-    return CandidateSet(tuple(actions), {i: tuple(v) for i, v in per_agent.items()})
+    collapsed = {c.x for c in actions}
+    stays = {x: sorted(vs) for x, vs in stays.items() if x in collapsed}
+    return CandidateSet(tuple(actions), per_agent, stays)
 
 
 def collapse_paths(schedule: Schedule, actions) -> Schedule:

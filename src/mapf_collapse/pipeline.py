@@ -9,13 +9,14 @@ output, so the prefilter's removals are part of the saving.
 Each path's move steps are found once per call, by the input's
 validation, and every stage reads them: the move counts and settle
 times, the prefilter's triples, and the constant runs that candidates
-and relations share. Only the paths the prefilter rewrites are stepped
+and stays come from. Only the paths the prefilter rewrites are stepped
 again, and the output's moves come from its own validation in
 apply_solution. Nothing is kept on the caller's schedule.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +43,9 @@ class OptimizeConfig:
     time_limit_ms: int = DEFAULT_TIME_LIMIT_MS
 
     def __post_init__(self):
+        # the solve reads the limit in seconds, as a float
+        if isinstance(self.time_limit_ms, bool) or not self.time_limit_ms <= sys.float_info.max:
+            raise ValueError("time_limit_ms must be a number of milliseconds within float range")
         # 0 is valid: each component keeps its first dive (solve_greedy)
         if self.time_limit_ms < 0:
             raise ValueError(f"time_limit_ms must be at least 0, got {self.time_limit_ms}")
@@ -101,12 +105,12 @@ def optimize_schedule(
 
     t_build = time.monotonic()
     runs = [path_runs(ag.path, steps) for ag, steps in zip(working.agents, moves)]
-    # nothing reads the move lists past here, nor the runs past relations:
+    # nothing reads the move lists past here, nor the runs past candidates:
     # freed, they are not held through the solve and apply peaks
     del report, moves
     cands = generate_candidates(working, runs=runs)
-    rel = build_relations(working, cands, runs=runs)
     del runs
+    rel = build_relations(cands)
     model = build_model(rel, cands)
     build_time = time.monotonic() - t_build
 

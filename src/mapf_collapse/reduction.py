@@ -104,7 +104,7 @@ class RoundtripReport:
 def optimal_collapsed_cost(red: ReductionOutput, time_limit: float | None = None) -> int:
     """Exact optimal cost of the reduced instance via the built-in solver."""
     cands = generate_candidates(red.schedule, REDUCED)
-    rel = build_relations(red.schedule, cands)
+    rel = build_relations(cands)
     model = build_model(rel, cands)
     sol = solve_exact(model, time_limit)
     if not sol.optimal:

@@ -1,6 +1,6 @@
 """Derive the constraint system for the collapse selection problem.
 
-From a schedule and its candidate set this module extracts:
+From a candidate set alone this module extracts:
   * within-agent exclusions: same agent, intersecting intervals. They
     are kept implicit, as each candidate's (agent, a, b) span: one
     agent's candidates form an interval graph, so its conflicts are the
@@ -23,13 +23,14 @@ them on request, for RelationSet.exclusions_in and exclusions_cross and
 for IlpModel.mutex.
 
 Dependencies are found per stay, an agent's maximal constant run
-(first, last) on one vertex, kept sorted per vertex that some candidate
-parks on. A blocker's candidate on another vertex starts and ends on
-that vertex, so if it covers one step of the blocker's stay on x it
-covers the whole stay: the suitable set is the same at every step of a
-stay and is computed once for it. A candidate's stays are walked once
-in their stored order; an empty suitable set makes the candidate
-invalid, and an invalid candidate records no dependency.
+(first, last) on one vertex, as listed by the candidate set, which
+reads stays and candidates off one walk over the runs. A blocker's
+candidate on another vertex starts and ends on that vertex, so if it
+covers one step of the blocker's stay on x it covers the whole stay:
+the suitable set is the same at every step of a stay and is computed
+once for it. A candidate's stays are walked once in their stored order;
+an empty suitable set makes the candidate invalid, and an invalid
+candidate records no dependency.
 
 Interval intersection is inclusive: touching intervals conflict.
 """
@@ -44,8 +45,6 @@ from itertools import groupby
 from operator import itemgetter
 
 from .candidates import CandidateSet
-from .errors import ConsistencyError
-from .schedule import Run, Schedule, move_steps, path_runs
 
 
 @dataclass(frozen=True)
@@ -142,48 +141,28 @@ class RelationSet:
         }
 
 
-def build_relations(
-    schedule: Schedule, candidates: CandidateSet, runs: list[list[Run]] | None = None
-) -> RelationSet:
+def build_relations(candidates: CandidateSet) -> RelationSet:
     """Extract dependencies and invalid actions; exclusions are listed
     only on request.
 
-    Candidates must have been generated from this schedule, and each
-    candidates.per_agent list must be sorted by start a (suitable sets
-    are found by bisecting it); the global order of the actions is free.
-    runs[i] may give agent i's constant runs (schedule.path_runs), which
-    are found from the paths when it is not given. An action's blocking
-    stays are the other agents' stays on its vertex that meet [a, b],
-    walked in (first, last, agent) order. Each records a dependency at
-    the first step it shares with [a, b], max(a, first), unless the
-    action already has one with the same suitable set; equal sets belong
-    to one agent, whose stays on x meet [a, b] in step order, so the
-    earliest is kept. An action with an empty suitable set at some stay
-    is invalid and records no dependency.
+    Reads only the candidate set: its actions, sorted by (agent, a, b),
+    the range of each agent's candidates (suitable sets are found by
+    bisecting it by start a) and the stays on each collapse vertex. An
+    action's blocking stays are the other agents' stays on its vertex
+    that meet [a, b], walked in (first, last, agent) order. Each records
+    a dependency at the first step it shares with [a, b], max(a, first),
+    unless the action already has one with the same suitable set; equal
+    sets belong to one agent, whose stays on x meet [a, b] in step
+    order, so the earliest is kept. An action with an empty suitable set
+    at some stay is invalid and records no dependency.
     """
     actions = candidates.actions
-    T = schedule.horizon
-    for c in actions:
-        if not (0 <= c.a < c.b <= T):
-            raise ConsistencyError(f"action {c} outside horizon {T}")
-        if schedule.agents[c.agent].path[c.a] != c.x or schedule.agents[c.agent].path[c.b] != c.x:
-            raise ConsistencyError(f"action {c} endpoints do not match the schedule")
-
-    if runs is None:
-        runs = [path_runs(ag.path, move_steps(ag.path)) for ag in schedule.agents]
-    stays: dict[str, list[tuple[int, int, int]]] = {c.x: [] for c in actions}
-    for j, agent_runs in enumerate(runs):
-        for v, first, last in agent_runs:
-            if v in stays:
-                stays[v].append((first, last, j))
-    for vstays in stays.values():
-        vstays.sort()
     suitable_by_stay: dict[tuple[int, int], tuple[int, ...]] = {}
 
     dependencies: list[Dependency] = []
     invalid: list[int] = []
     for ci, c in enumerate(actions):
-        vstays = stays[c.x]
+        vstays = candidates.stays[c.x]
         found: dict[tuple[int, ...], Dependency] = {}
         for first, last, j in vstays[: bisect_right(vstays, c.b, key=itemgetter(0))]:
             if last < c.a or j == c.agent:
@@ -191,7 +170,7 @@ def build_relations(
             suitable = suitable_by_stay.get((j, first))
             if suitable is None:
                 # j's candidates off x that cover its whole stay on x
-                own = candidates.per_agent.get(j, ())
+                own = candidates.per_agent[j]
                 suitable = suitable_by_stay[j, first] = tuple(
                     s
                     for s in own[: bisect_left(own, first, key=lambda i: actions[i].a)]

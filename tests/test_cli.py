@@ -262,6 +262,25 @@ def test_negative_time_limit_exit_1_writes_nothing(gadget_instance, capsys, tmp_
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["optimize", "bench"])
+def test_time_limit_too_large_for_a_float_exit_1_writes_nothing(gadget_instance, capsys, tmp_path, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "optimize":
+        argv = [gadget_instance, "-o", str(out / "o.json"), "--stats", str(out / "s.json")]
+    else:
+        argv = [str(tmp_path), "--out", str(out / "bench.csv")]
+    code = main([command, *argv, "--time-limit-ms", "1" + "0" * 400])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: time_limit_ms must be a number of milliseconds within float range" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+    for limit in (True, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time_limit_ms must be a number"):
+            OptimizeConfig(time_limit_ms=limit)
+
+
 def test_time_limit_zero_valid_below_zero_raises(gadget_instance, capsys, tmp_path):
     code, out = run(
         capsys, "optimize", gadget_instance, "-o", str(tmp_path / "o.json"),

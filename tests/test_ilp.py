@@ -47,7 +47,7 @@ from helpers import (
 def gadget_pipeline():
     red = reduce_independent_set(single_edge_graph(), 1)
     cands = generate_candidates(red.schedule, REDUCED)
-    rel = build_relations(red.schedule, cands)
+    rel = build_relations(cands)
     return red, cands, build_model(rel, cands)
 
 
@@ -55,7 +55,7 @@ def mutual_oscillation():
     g = Graph(["A", "B", "C"], [("A", "B"), ("C", "A")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "C"]])
     cands = generate_candidates(s, REDUCED)
-    rel = build_relations(s, cands)
+    rel = build_relations(cands)
     return s, g, cands, build_model(rel, cands)
 
 
@@ -73,7 +73,7 @@ def test_build_model_gadget_shape():
 def test_build_model_empty():
     s = schedule_from_paths([["A", "A"]])
     cands = generate_candidates(s, REDUCED)
-    model = build_model(build_relations(s, cands), cands)
+    model = build_model(build_relations(cands), cands)
     assert model.n_vars == 0
 
 
@@ -81,7 +81,7 @@ def test_build_model_invalid_action_fixed():
     g = Graph(["A", "B", "C", "D"], [("A", "B"), ("C", "A"), ("A", "D")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
     cands = generate_candidates(s, REDUCED)
-    model = build_model(build_relations(s, cands), cands)
+    model = build_model(build_relations(cands), cands)
     # the passer-through agent repeats no vertex, so only the oscillating
     # agent contributes a variable, and it is unusable
     assert model.n_vars == 1
@@ -92,7 +92,7 @@ def test_build_model_invalid_action_fixed():
 def test_build_model_fixes_zero_weight_exhaustive_candidates():
     s = schedule_from_paths([list("AAABAAA")])
     cands = generate_candidates(s, EXHAUSTIVE)
-    model = build_model(build_relations(s, cands), cands)
+    model = build_model(build_relations(cands), cands)
     for i, c in enumerate(cands.actions):
         assert (c.weight == 0) == (i in model.fixed_zero)
     assert all(model.weights[i] >= 1 for i in range(model.n_vars) if i not in model.fixed_zero)
@@ -179,7 +179,7 @@ def test_greedy_respects_constraints_randomized():
     for _ in range(60):
         s, g, _ = random_rollout_instance(rng, noise=0.6)
         cands = generate_candidates(s, REDUCED)
-        model = build_model(build_relations(s, cands), cands)
+        model = build_model(build_relations(cands), cands)
         sol = solve_greedy(model)
         assert sol.selected.isdisjoint(model.fixed_zero)
         for a, b in model.mutex:
@@ -242,7 +242,7 @@ def test_exactness_against_oracle_quick():
             continue
         oracle = brute_force_collapse(s, g, "relaxed", cap=20)
         cands = generate_candidates(s, REDUCED)
-        model = build_model(build_relations(s, cands), cands)
+        model = build_model(build_relations(cands), cands)
         sol = solve_exact(model, 30.0)
         assert sol.optimal
         assert sol.saving == oracle.best_saving
@@ -325,7 +325,7 @@ def random_models(rng, count):
         s, g, _ = random_rollout_instance(rng, noise=rng.choice([0.3, 0.6]), n_agents=rng.choice([2, 3, 4]))
         mode = rng.choice([REDUCED, EXHAUSTIVE])
         cands = generate_candidates(s, mode)
-        rel = build_relations(s, cands)
+        rel = build_relations(cands)
         yield s, g, mode, cands, rel, build_model(rel, cands)
 
 
@@ -478,7 +478,7 @@ def test_agent_overlapping_matches_scan():
 def test_run_pair_gives_only_the_innermost_candidate():
     s = schedule_from_paths([["A", "A", "B", "A", "A"]])
     cands = generate_candidates(s, REDUCED)
-    model = build_model(build_relations(s, cands), cands)
+    model = build_model(build_relations(cands), cands)
     assert [model.spans[i][1:] for i in model.free()] == [(1, 3)]
     assert solve_exact(model, 5.0).saving == 2
 
@@ -489,7 +489,7 @@ def test_run_pair_gives_only_the_innermost_candidate():
 def crowded_models(mode):
     for s in crowded_schedules():
         cands = generate_candidates(s, mode)
-        yield build_model(build_relations(s, cands), cands)
+        yield build_model(build_relations(cands), cands)
 
 
 def reduction_models():
@@ -500,7 +500,7 @@ def reduction_models():
     for _ in range(30):
         red = reduce_independent_set(Graph(names, rng.sample(pairs, 13)), 1)
         cands = generate_candidates(red.schedule, REDUCED)
-        yield build_model(build_relations(red.schedule, cands), cands)
+        yield build_model(build_relations(cands), cands)
 
 
 @pytest.mark.parametrize("mode", [REDUCED, EXHAUSTIVE])
@@ -563,7 +563,7 @@ def branching_model():
     h = Graph([f"u{i}" for i in range(5)], [(f"u{i}", f"u{(i + 1) % 5}") for i in range(5)])
     red = reduce_independent_set(h, 1)
     cands = generate_candidates(red.schedule, REDUCED)
-    return build_model(build_relations(red.schedule, cands), cands)
+    return build_model(build_relations(cands), cands)
 
 
 def test_search_does_not_touch_recursion_limit(monkeypatch):

@@ -242,7 +242,7 @@ def test_cross_pairs_are_implied_by_the_model(schedule, mode):
     # stands there inside c's span, so c owns an implication whose
     # members all cover that stay and overlap d, or c is invalid
     cands = generate_candidates(schedule, mode)
-    rel = build_relations(schedule, cands)
+    rel = build_relations(cands)
     model = build_model(rel, cands)
     spans = model.spans
     owned = {}
@@ -270,7 +270,7 @@ def test_dependencies_match_per_step_scan_on_shared_cells(schedule, mode):
     # oscillating paths put several agents on one vertex at one step, so
     # blocking stays of different agents share their first step
     cands = generate_candidates(schedule, mode)
-    rel = build_relations(schedule, cands)
+    rel = build_relations(cands)
     assert (rel.dependencies, rel.invalid) == per_step_dependencies(schedule, cands)
 
 

@@ -12,7 +12,7 @@ from mapf_collapse import (
     generate_candidates,
     validate,
 )
-from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, CandidateSet, collapse_paths
+from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, collapse_paths
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
@@ -23,6 +23,7 @@ from helpers import (
     eager_exclusions_in,
     per_step_dependencies,
     random_rollout_instance,
+    reference_runs,
     schedule_from_paths,
     single_edge_graph,
 )
@@ -38,7 +39,7 @@ def by_tuple(cands):
 def test_relations_single_edge_gadget():
     red = reduce_independent_set(single_edge_graph(), 1)
     cands = generate_candidates(red.schedule, REDUCED)
-    rel = build_relations(red.schedule, cands)
+    rel = build_relations(cands)
     ids = by_tuple(cands)
     a1, a2 = ids[(0, 0, 6)], ids[(1, 0, 6)]
     b_a, b_b = ids[(2, 0, 4)], ids[(2, 2, 6)]
@@ -53,7 +54,7 @@ def test_relations_mutual_oscillation_dependency():
     g = Graph(["A", "B", "C"], [("A", "B"), ("C", "A")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "C"]])
     cands = generate_candidates(s, REDUCED)
-    rel = build_relations(s, cands)
+    rel = build_relations(cands)
     ids = by_tuple(cands)
     c1, c2 = ids[(0, 0, 2)], ids[(1, 0, 2)]
     deps = {(d.action, d.suitable) for d in rel.dependencies}
@@ -68,7 +69,7 @@ def test_relations_invalid_when_blocker_has_no_candidates():
     g = Graph(["A", "B", "C", "D"], [("A", "B"), ("C", "A"), ("A", "D")])
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
     cands = generate_candidates(s, REDUCED)
-    rel = build_relations(s, cands)
+    rel = build_relations(cands)
     assert len(cands.actions) == 1  # the passer-through repeats no vertex
     assert rel.invalid == (0,)
     assert rel.dependencies == ()
@@ -80,29 +81,19 @@ def test_relations_cross_exclusion_same_vertex():
     s = schedule_from_paths([["A", "B", "A", "C", "C"], ["D", "D", "A", "B", "A"]])
     cands = generate_candidates(s, REDUCED)
     ids = by_tuple(cands)
-    assert build_relations(s, cands).exclusions_cross == ((ids[(0, 0, 2)], ids[(1, 2, 4)]),)
+    assert build_relations(cands).exclusions_cross == ((ids[(0, 0, 2)], ids[(1, 2, 4)]),)
     # the same collapses one step apart do not
     s = schedule_from_paths([["A", "B", "A", "C", "C", "C"], ["D", "D", "D", "A", "B", "A"]])
     cands = generate_candidates(s, REDUCED)
     assert len(cands.actions) == 2
-    assert build_relations(s, cands).exclusions_cross == ()
+    assert build_relations(cands).exclusions_cross == ()
     # one agent's overlapping collapses onto A are a within-agent pair only
     s = schedule_from_paths([["A", "B", "A", "B", "A"], ["C", "C", "C", "C", "C"]])
     cands = generate_candidates(s, REDUCED)
     ids = by_tuple(cands)
-    rel = build_relations(s, cands)
+    rel = build_relations(cands)
     assert (ids[(0, 0, 2)], ids[(0, 2, 4)]) in rel.exclusions_in
     assert rel.exclusions_cross == ()
-
-
-def test_relations_reject_foreign_candidates():
-    from mapf_collapse import ConsistencyError
-
-    s1 = schedule_from_paths([["A", "B", "A"]])
-    s2 = schedule_from_paths([["B", "A", "B"]])
-    cands = generate_candidates(s1, REDUCED)
-    with pytest.raises(ConsistencyError):
-        build_relations(s2, cands)
 
 
 # ------------------------------------- cross-agent sweep, per-stay dependency scan
@@ -113,7 +104,7 @@ def test_cross_exclusions_match_all_pairs(mode):
     listed = 0
     for s in crowded_schedules():
         cands = generate_candidates(s, mode)
-        rel = build_relations(s, cands)
+        rel = build_relations(cands)
         assert rel.exclusions_cross == all_pairs_cross_exclusions(cands)
         listed += len(rel.exclusions_cross)
     assert listed > 0
@@ -123,7 +114,7 @@ def test_cross_exclusions_match_all_pairs(mode):
 def test_dependencies_match_per_step_scan(mode):
     for s in crowded_schedules():
         cands = generate_candidates(s, mode)
-        rel = build_relations(s, cands)
+        rel = build_relations(cands)
         assert (rel.dependencies, rel.invalid) == per_step_dependencies(s, cands)
 
 
@@ -132,7 +123,7 @@ def test_invalid_candidates_record_no_dependencies(mode):
     n_invalid = 0
     for s in crowded_schedules():
         cands = generate_candidates(s, mode)
-        rel = build_relations(s, cands)
+        rel = build_relations(cands)
         assert not {d.action for d in rel.dependencies} & set(rel.invalid)
         if mode == REDUCED:
             # no reduced candidate weighs 0, so only invalid ones are fixed
@@ -147,7 +138,7 @@ def test_dependency_timestep_is_first_shared_step():
     # agent 1's collapse onto C that covers the whole stay
     s = schedule_from_paths([["A", "B", "B", "B", "A"], ["C", "A", "A", "A", "C"]])
     cands = generate_candidates(s, REDUCED)
-    rel = build_relations(s, cands)
+    rel = build_relations(cands)
     ids = by_tuple(cands)
     assert [(d.action, d.blocker, d.timestep, d.suitable) for d in rel.dependencies] == [
         (ids[(0, 0, 4)], 1, 1, (ids[(1, 0, 4)],))
@@ -187,7 +178,7 @@ def test_relation_feasible_selections_validate_and_match_oracle():
         cands = generate_candidates(s, REDUCED)
         if not 0 < len(cands.actions) <= 12:
             continue
-        rel = build_relations(s, cands)
+        rel = build_relations(cands)
         best = 0
         for chosen in relation_feasible_subsets(cands, rel):
             applied = collapse_paths(s, [cands.actions[i] for i in chosen])
@@ -200,44 +191,40 @@ def test_relation_feasible_selections_validate_and_match_oracle():
         checked += 1
 
 
-def relations_in_original_indices(rel, perm):
-    """Dependencies and invalid actions of rel, whose candidate k is
-    candidate perm[k] of the original order, in original indices."""
-    deps = sorted(
-        (perm[d.action], d.blocker, d.timestep, frozenset(perm[s] for s in d.suitable))
-        for d in rel.dependencies
-    )
-    return deps, sorted(perm[i] for i in rel.invalid)
-
-
-def test_relations_independent_of_candidate_order():
-    # the same candidates in another global order, by (a, agent, b);
-    # each agent's list stays sorted by start, as build_relations needs
+def test_candidate_set_order_ranges_and_stays():
+    # build_relations reads only the candidate set, so its contract is
+    # pinned here: actions sorted by (agent, a, b), per_agent ranges that
+    # partition them, and every agent's stays on each collapse vertex
     rng = random.Random(29)
     schedules = [random_rollout_instance(rng)[0] for _ in range(10)] + list(crowded_schedules())
-    n_deps = reordered = 0
+    n_stays = 0
     for s, mode in itertools.product(schedules, (REDUCED, EXHAUSTIVE)):
         cands = generate_candidates(s, mode)
-        actions = cands.actions
-        identity = list(range(len(actions)))
-        perm = sorted(range(len(actions)), key=lambda i: (actions[i].a, actions[i].agent, actions[i].b))
-        per_agent: dict[int, list[int]] = {}
-        for k, i in enumerate(perm):
-            per_agent.setdefault(actions[i].agent, []).append(k)
-        permuted = CandidateSet(
-            tuple(actions[i] for i in perm), {j: tuple(own) for j, own in per_agent.items()}
-        )
-        reordered += perm != identity
-        expected = relations_in_original_indices(build_relations(s, cands), identity)
-        assert relations_in_original_indices(build_relations(s, permuted), perm) == expected
-        n_deps += len(expected[0])
-    assert n_deps > 0 and reordered > 0
+        keys = [(c.agent, c.a, c.b) for c in cands.actions]
+        assert keys == sorted(keys)
+        covered = []
+        assert sorted(cands.per_agent) == list(range(s.n_agents))
+        for j, own in sorted(cands.per_agent.items()):
+            assert isinstance(own, range)
+            assert all(keys[i][0] == j for i in own)
+            covered.extend(own)
+        assert covered == list(range(len(keys)))
+        expected: dict[str, list[tuple[int, int, int]]] = {}
+        for j, ag in enumerate(s.agents):
+            for v, first, last in reference_runs(ag.path):
+                expected.setdefault(v, []).append((first, last, j))
+        vertices = {c.x for c in cands.actions}
+        assert set(cands.stays) == vertices
+        for x in vertices:
+            assert cands.stays[x] == sorted(expected[x])
+            n_stays += len(cands.stays[x])
+    assert n_stays > 0
 
 
 def test_relations_json_dump_shape():
     red = reduce_independent_set(single_edge_graph(), 1)
     cands = generate_candidates(red.schedule, REDUCED)
-    rel = build_relations(red.schedule, cands)
+    rel = build_relations(cands)
     data = json.loads(json.dumps(rel.to_json_dict()))
     assert set(data) == {"spans", "vertices", "deps", "invalid"}
     assert data["spans"] == [[c.agent, c.a, c.b] for c in cands.actions]
