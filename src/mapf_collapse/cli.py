@@ -169,7 +169,9 @@ def _cmd_gen(args) -> int:
     grid = read_map_file(args.map)
     graph = grid_to_graph(grid)
     free = graph.vertices
-    if args.agents < 1 or 2 * args.agents > len(free):
+    if args.agents < 1:
+        raise ValueError(f"--agents must be positive, got {args.agents}")
+    if 2 * args.agents > len(free):
         raise CapExceededError(
             f"cannot place {args.agents} agents on {len(free)} free cells"
         )

@@ -9,10 +9,12 @@ variable carries its candidate's (agent, a, b) span. Cross-agent
 exclusions are not part of the model, as the implications and the
 same-agent mutexes imply them (relations.py).
 
-solve_exact splits the free variables into independent components
-without listing any pair: a sweep over each agent's sorted spans joins
-overlap chains, and union-find joins each implication owner with its
-members' chains. Each component is solved against a relaxation that
+The model is plain data; solve_exact builds what it needs from it once
+per call: each variable's owned member sets, and each free variable's
+overlap chain, numbered by one sweep over the spans sorted by (agent, a,
+b). It splits the free variables into independent components without
+listing any pair: union-find joins each implication owner's chain with
+its members' chains. Each component is solved against a relaxation that
 drops the implications: what is left is one weighted interval
 scheduling problem per agent (Kleinberg & Tardos, Algorithm Design,
 6.1), solved exactly by dynamic programming, and the sum of those
@@ -46,7 +48,7 @@ from operator import sub
 from .candidates import CandidateSet, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
-from .relations import RelationSet, Span, intersecting_pairs, overlap_chains
+from .relations import RelationSet, Span, intersecting_pairs
 from .schedule import FeasibilityReport, Schedule, cost_moves, validate
 
 
@@ -55,7 +57,8 @@ class IlpModel:
     """Binary variables with weights, implications and fixed zeros.
 
     spans[i] is variable i's (agent, a, b); free variables of one agent
-    whose spans intersect are mutex without being listed.
+    whose spans intersect are mutex without being listed. The solve
+    reads only these fields; mutex lists the pairs on request.
     """
 
     weights: tuple[int, ...]
@@ -72,29 +75,13 @@ class IlpModel:
         return [i for i in range(self.n_vars) if i not in self.fixed_zero]
 
     @cached_property
-    def chains(self) -> list[list[int]]:
-        """The free variables' overlap chains (relations.overlap_chains):
-        swept once, read by mutex and the component split."""
-        return overlap_chains(self.spans, self.free())
-
-    @cached_property
     def mutex(self) -> tuple[tuple[int, int], ...]:
         """Every mutex pair, the same-agent overlaps of free variables,
         listed and sorted on first access."""
-        return tuple(intersecting_pairs(self.spans, self.chains))
-
-    @cached_property
-    def links(self) -> list[list[tuple[int, ...]]]:
-        """Per variable, the member set of each implication that it owns.
-        An implication owned by a variable fixed to zero is vacuous and
-        is left out. Built once and only read by the search; no member
-        set is walked here."""
-        owned: list[list[tuple[int, ...]]] = [[] for _ in range(self.n_vars)]
-        fixed = self.fixed_zero
-        for owner, suitable in self.implications:
-            if owner not in fixed:
-                owned[owner].append(suitable)
-        return owned
+        by_agent: dict[int, list[int]] = {}
+        for i in self.free():
+            by_agent.setdefault(self.spans[i][0], []).append(i)
+        return tuple(intersecting_pairs(self.spans, by_agent.values()))
 
 
 @dataclass(frozen=True)
@@ -131,13 +118,28 @@ def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
     return IlpModel(weights, implications, frozenset(fixed), relations.spans)
 
 
-def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
+def _owned(model: IlpModel) -> list[list[tuple[int, ...]]]:
+    """Per variable, the member set of each implication that it owns.
+    An implication owned by a variable fixed to zero is vacuous and is
+    left out; no member set is walked here."""
+    owned: list[list[tuple[int, ...]]] = [[] for _ in range(model.n_vars)]
+    fixed = model.fixed_zero
+    for owner, suitable in model.implications:
+        if owner not in fixed:
+            owned[owner].append(suitable)
+    return owned
+
+
+def _components(model: IlpModel, owned: list[list[tuple[int, ...]]]) -> list[tuple[list[int], bool]]:
     """Independent components of the free variables: (members, coupled).
 
-    Overlap chains come from one sweep over the sorted spans; union-find
-    then joins the chain of every implication owner with each distinct
-    chain of its free members. A member whose chain is the previous
-    member's is skipped: a suitable set's members all cover the
+    One sweep over the free spans sorted by (agent, a, b) numbers the
+    overlap chains: a new chain starts with each agent and wherever a
+    span starts after every earlier span of its agent has ended, so two
+    variables overlap only within one chain. Union-find then joins the
+    chain of every implication owner (owned, from _owned) with each
+    distinct chain of its free members. A member whose chain is the
+    previous member's is skipped: a suitable set's members all cover the
     blocker's stay, so they share one chain in practice, and one union
     per set replaces one per member.
     Components are sorted by (size, smallest variable), members
@@ -145,12 +147,19 @@ def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
     other component is a single overlap chain.
     """
     free = model.free()
-    chains = model.chains
+    spans = model.spans
     chain_of = [-1] * model.n_vars  # -1: fixed to zero
-    for c, chain in enumerate(chains):
-        for i in chain:
-            chain_of[i] = c
-    parent = list(range(len(chains)))
+    n_chains = 0
+    agent = reach = None
+    for i in sorted(free, key=spans.__getitem__):
+        j, a, b = spans[i]
+        if j != agent or a > reach:
+            n_chains += 1
+            agent, reach = j, b
+        elif b > reach:
+            reach = b
+        chain_of[i] = n_chains - 1
+    parent = list(range(n_chains))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -159,17 +168,18 @@ def _components(model: IlpModel) -> list[tuple[list[int], bool]]:
         return x
 
     coupled: list[int] = []
-    for owner, suitable in model.implications:
-        if chain_of[owner] < 0:
+    for owner, sets in enumerate(owned):
+        if not sets:
             continue
         root = find(chain_of[owner])
         coupled.append(root)
-        last = -1
-        for s in suitable:
-            chain = chain_of[s]
-            if chain != last and chain >= 0:
-                parent[find(chain)] = root
-                last = chain
+        for suitable in sets:
+            last = -1
+            for s in suitable:
+                chain = chain_of[s]
+                if chain != last and chain >= 0:
+                    parent[find(chain)] = root
+                    last = chain
 
     members: dict[int, list[int]] = {}
     for v in free:
@@ -238,6 +248,7 @@ class _Agent:
 
 def _solve_component(
     model: IlpModel,
+    owned: list[list[tuple[int, ...]]],
     comp: list[int],
     val: list[int],
     deadline: float | None,
@@ -267,7 +278,6 @@ def _solve_component(
     with none left ends the node.
     """
     weights, spans = model.weights, model.spans
-    owned = model.links
     by_agent: dict[int, list[int]] = {}
     for v in comp:
         by_agent.setdefault(spans[v][0], []).append(v)
@@ -398,13 +408,14 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
     val = [UNDEC] * model.n_vars
     for i in model.fixed_zero:
         val[i] = ZERO
-    comps = _components(model)
+    owned = _owned(model)
+    comps = _components(model, owned)
 
     selected: list[int] = []
     nodes = proved = upper_bound = n_mutex = 0
     for comp, coupled in comps:
         if coupled:
-            chosen, done, explored, bound, overlaps = _solve_component(model, comp, val, deadline)
+            chosen, done, explored, bound, overlaps = _solve_component(model, owned, comp, val, deadline)
         else:
             agent = _Agent(comp, model)
             bound, chosen = agent.solve(val)

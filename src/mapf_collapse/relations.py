@@ -58,29 +58,6 @@ class Dependency:
 Span = tuple[int, int, int]  # (agent, a, b)
 
 
-def overlap_chains(spans: tuple[Span, ...], members) -> list[list[int]]:
-    """Members split into overlap chains, each sorted by (a, b).
-
-    Members are swept in span order, so agent by agent and then by
-    (a, b); a new chain starts with each agent and wherever a span starts
-    after every earlier span of its agent has ended. Each chain is
-    connected by overlaps, and two members overlap only within one
-    chain. Equal spans keep the order in which members are given.
-    """
-    chains: list[list[int]] = []
-    agent = reach = None
-    for i in sorted(members, key=spans.__getitem__):
-        owner, a, b = spans[i]
-        if owner != agent or a > reach:
-            chains.append([i])
-            agent, reach = owner, b
-        else:
-            chains[-1].append(i)
-            if b > reach:
-                reach = b
-    return chains
-
-
 def intersecting_pairs(spans: tuple[Span, ...], groups) -> list[tuple[int, int]]:
     """Sorted pairs (i, j), i < j, of members of one group whose spans
     intersect, touching included.
@@ -153,17 +130,20 @@ def build_relations(candidates: CandidateSet) -> RelationSet:
     a dependency at the first step it shares with [a, b], max(a, first),
     unless the action already has one with the same suitable set; equal
     sets belong to one agent, whose stays on x meet [a, b] in step
-    order, so the earliest is kept. An action with an empty suitable set
-    at some stay is invalid and records no dependency.
+    order, so the earliest is kept. Each stay's set is built and interned
+    once, so equal sets are one object and are compared by identity. An
+    action with an empty suitable set at some stay is invalid and
+    records no dependency.
     """
     actions = candidates.actions
     suitable_by_stay: dict[tuple[int, int], tuple[int, ...]] = {}
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}  # one object per distinct set
 
     dependencies: list[Dependency] = []
     invalid: list[int] = []
     for ci, c in enumerate(actions):
         vstays = candidates.stays[c.x]
-        found: dict[tuple[int, ...], Dependency] = {}
+        found: dict[int, Dependency] = {}  # by id of the interned set
         for first, last, j in vstays[: bisect_right(vstays, c.b, key=itemgetter(0))]:
             if last < c.a or j == c.agent:
                 continue
@@ -171,16 +151,17 @@ def build_relations(candidates: CandidateSet) -> RelationSet:
             if suitable is None:
                 # j's candidates off x that cover its whole stay on x
                 own = candidates.per_agent[j]
-                suitable = suitable_by_stay[j, first] = tuple(
+                suitable = tuple(
                     s
                     for s in own[: bisect_left(own, first, key=lambda i: actions[i].a)]
                     if actions[s].b > last and actions[s].x != c.x
                 )
+                suitable = suitable_by_stay[j, first] = interned.setdefault(suitable, suitable)
             if not suitable:
                 invalid.append(ci)
                 break
-            if suitable not in found:
-                found[suitable] = Dependency(ci, j, max(c.a, first), suitable)
+            if id(suitable) not in found:
+                found[id(suitable)] = Dependency(ci, j, max(c.a, first), suitable)
         else:
             dependencies.extend(found.values())
 

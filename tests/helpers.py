@@ -489,9 +489,13 @@ def count_chain_pairs(spans, chain) -> int:
 
 
 def reference_n_mutex(model: IlpModel) -> int:
-    """len(model.mutex), counted over the model's overlap chains without
-    listing the pairs: the reference for the solver's count."""
-    return sum(count_chain_pairs(model.spans, chain) for chain in model.chains)
+    """len(model.mutex), counted per agent over its free variables sorted
+    by start without listing the pairs: the reference for the solver's
+    count."""
+    by_agent = {}
+    for v in sorted(model.free(), key=lambda v: model.spans[v][1]):
+        by_agent.setdefault(model.spans[v][0], []).append(v)
+    return sum(count_chain_pairs(model.spans, group) for group in by_agent.values())
 
 
 def reference_aba_prefilter(schedule: Schedule, max_passes: int = 16) -> tuple[Schedule, int]:

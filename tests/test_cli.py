@@ -376,11 +376,21 @@ def test_gen_plan_mode_strict(tmp_path, capsys):
 def test_gen_too_many_agents_exit_4(tmp_path, capsys):
     map_path = tmp_path / "m.map"
     map_path.write_text(TINY_MAP)
-    code, _ = run(
-        capsys, "gen", "--map", str(map_path), "--agents", "12", "-o",
-        str(tmp_path / "g.json"),
-    )
+    code = main(["gen", "--map", str(map_path), "--agents", "12", "-o", str(tmp_path / "g.json")])
     assert code == 4
+    assert "refused: cannot place 12 agents on 16 free cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agents", ["0", "-3"])
+def test_gen_non_positive_agents_exit_1(tmp_path, capsys, agents):
+    # a usage error, not a size cap
+    map_path = tmp_path / "m.map"
+    map_path.write_text(TINY_MAP)
+    out = tmp_path / "g.json"
+    assert main(["gen", "--map", str(map_path), "--agents", agents, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("map_name", ["bad.map", "missing.map"], ids=["non-utf8", "missing"])

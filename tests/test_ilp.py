@@ -21,7 +21,7 @@ from mapf_collapse import (
     validate,
 )
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
-from mapf_collapse.ilp import CollapseSolution, _Agent, _components
+from mapf_collapse.ilp import CollapseSolution, _Agent, _components, _owned
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.schedule import move_steps
 from mapf_collapse.oracle import brute_force_collapse
@@ -507,7 +507,7 @@ def reduction_models():
 def test_components_match_union_of_every_member(mode):
     coupled = 0
     for model in crowded_models(mode):
-        comps = _components(model)
+        comps = _components(model, _owned(model))
         assert comps == all_members_components(model)
         coupled += sum(1 for _, c in comps if c)
     assert coupled > 0
@@ -517,12 +517,12 @@ def test_implication_over_two_agents_is_one_component():
     # 0 needs one of 1, 2, 3: 1 and 3 form one chain of agent 1, 2 is agent 2's
     spans = [(0, 0, 2), (1, 0, 2), (2, 0, 2), (1, 1, 3)]
     model = two_agent_model([3, 1, 1, 1], [(0, (1, 2, 3))], spans)
-    assert _components(model) == [([0, 1, 2, 3], True)] == all_members_components(model)
+    assert _components(model, _owned(model)) == [([0, 1, 2, 3], True)] == all_members_components(model)
 
 
 def test_reduced_models_have_no_dominated_variable():
     for model in itertools.chain(crowded_models(REDUCED), reduction_models()):
-        for comp, _ in _components(model):
+        for comp, _ in _components(model, _owned(model)):
             assert pairwise_dominated(model, comp) == []
 
 
@@ -577,7 +577,7 @@ def test_search_does_not_touch_recursion_limit(monkeypatch):
 
 
 def test_threads_share_one_model():
-    model = branching_model()  # its cached adjacency is built by the racing threads
+    model = branching_model()  # shared read-only: each solve builds its own owner lists and chains
     results = [None] * 4
 
     def run(k):

@@ -9,6 +9,9 @@ validate's move steps equal their per-cell references. Over rollouts
 and colliding paths every cross-agent exclusion is implied by the
 model's fixed zeros, implications and same-agent overlaps, and the
 dependencies and invalid candidates are the per-step scan's. Over
+hand-built models, whose spans come in any order, the component split
+is the all-pairs union, the exact solve meets the brute force, and the
+listed, reference and solver mutex counts agree. Over
 malformed files the CLI exits with its documented code, never a
 traceback."""
 
@@ -26,6 +29,7 @@ from mapf_collapse import (
     CapExceededError,
     Graph,
     GridMap,
+    IlpModel,
     Schedule,
     UnknownVertexError,
     agent_density,
@@ -41,10 +45,12 @@ from mapf_collapse import (
 )
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, aba_prefilter_detailed
 from mapf_collapse.cli import main
+from mapf_collapse.ilp import _components, _owned
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.schedule import MODES, RELAXED, move_steps, path_runs, soc_from_moves
 
 from helpers import (
+    all_members_components,
     brute_force_model,
     complete_graph,
     edge_instance_json,
@@ -53,6 +59,7 @@ from helpers import (
     reference_aba_prefilter,
     reference_agent_density,
     reference_cost_moves,
+    reference_n_mutex,
     reference_runs,
     reference_validate,
     schedule_from_paths,
@@ -272,6 +279,40 @@ def test_dependencies_match_per_step_scan_on_shared_cells(schedule, mode):
     cands = generate_candidates(schedule, mode)
     rel = build_relations(cands)
     assert (rel.dependencies, rel.invalid) == per_step_dependencies(schedule, cands)
+
+
+@st.composite
+def hand_built_models(draw):
+    """IlpModels not made by build_model: 0-9 variables over 1-3 agents
+    with spans in any order, zero weights allowed, random fixed zeros,
+    and implications whose owner or members may be fixed to zero and
+    whose member set may be empty."""
+    n_vars, n_agents = draw(st.integers(0, 9)), draw(st.integers(1, 3))
+    spans = []
+    for _ in range(n_vars):
+        a = draw(st.integers(0, 8))
+        spans.append((draw(st.integers(0, n_agents - 1)), a, draw(st.integers(a, a + 5))))
+    weights = draw(st.lists(st.integers(0, 5), min_size=n_vars, max_size=n_vars))
+    implications = []
+    if n_vars:
+        variable = st.integers(0, n_vars - 1)
+        fixed = draw(st.frozensets(variable))
+        for _ in range(draw(st.integers(0, 4))):
+            owner = draw(variable)
+            implications.append((owner, tuple(draw(st.lists(variable, unique=True, max_size=4)))))
+    else:
+        fixed = frozenset()
+    return IlpModel(tuple(weights), tuple(implications), fixed, tuple(spans))
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(model=hand_built_models())
+def test_solve_on_hand_built_models(model):
+    # the chain sweep sorts the spans itself, so no candidate order is assumed
+    assert _components(model, _owned(model)) == all_members_components(model)
+    sol = solve_exact(model, None)
+    assert sol.optimal and sol.saving == sol.upper_bound == brute_force_model(model)
+    assert sol.n_mutex == len(model.mutex) == reference_n_mutex(model)
 
 
 @st.composite
