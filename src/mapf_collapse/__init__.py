@@ -10,7 +10,6 @@ planners, and a benchmark harness round out the toolkit.
 
 from .candidates import (
     CandidateSet,
-    CollapseAction,
     collapse_paths,
     generate_candidates,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "AgentRecord",
     "CandidateSet",
     "CapExceededError",
-    "CollapseAction",
     "CollapseSolution",
     "ConsistencyError",
     "FeasibilityReport",

@@ -85,12 +85,14 @@ def run_one(path: str, config: OptimizeConfig) -> dict:
 
 def run_bench(directory: str, config: OptimizeConfig, jobs: int = 1) -> tuple[list[dict], dict]:
     """Optimize every instance in the directory; returns (rows, summary)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     paths = sorted(
         os.path.join(directory, name)
         for name in os.listdir(directory)
         if name.endswith(".json")
     )
-    if jobs <= 1:
+    if jobs == 1:
         rows = [run_one(p, config) for p in paths]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

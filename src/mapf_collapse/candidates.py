@@ -1,7 +1,8 @@
 """Enumeration of closed-subwalk collapse candidates.
 
-A candidate (agent, a, b, x) marks a segment with path[a] == path[b] == x
-that can be rewritten to all-x, saving its interior edge traversals.
+A candidate (agent, a, b) marks a segment with path[a] == path[b] == x
+that can be rewritten to all-x, saving its interior edge traversals;
+it is one row of the candidate set's columns, which no stage copies.
 Reduced mode emits one candidate per pair of maximal constant runs of
 one agent on x, from the last step of the earlier run to the first step
 of the later one; exhaustive mode keeps every pair of visits and backs
@@ -23,25 +24,23 @@ GENERATION_MODES = (REDUCED, EXHAUSTIVE)
 ABA_DEFAULT_MAX_PASSES = 16
 
 
-@dataclass(frozen=True)
-class CollapseAction:
-    agent: int
-    a: int
-    b: int
-    x: str
-    weight: int
+Span = tuple[int, int, int]  # (agent, a, b)
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Collapse candidates of one schedule, sorted by (agent, a, b).
+    """Collapse candidates of one schedule as columns sorted by (agent, a, b).
 
-    per_agent[j] is the range of agent j's candidates, empty if it has
-    none. stays[x] lists every agent's stays (first, last, agent) on
-    each vertex x that some candidate collapses onto, sorted.
+    actions[i] is candidate i's (agent, a, b), vertices[i] its x and
+    weights[i] the number of moves it removes. per_agent[j] is the range
+    of agent j's candidates, empty if it has none. stays[x] lists every
+    agent's stays (first, last, agent) on each vertex x that some
+    candidate collapses onto, sorted.
     """
 
-    actions: tuple[CollapseAction, ...]
+    actions: tuple[Span, ...]
+    vertices: tuple[str, ...]
+    weights: tuple[int, ...]
     per_agent: dict[int, range]
     stays: dict[str, list[tuple[int, int, int]]]
 
@@ -67,16 +66,18 @@ def generate_candidates(
         raise ValueError(f"mode must be one of {GENERATION_MODES}, got {mode!r}")
     if runs is None:
         runs = [path_runs(ag.path, move_steps(ag.path)) for ag in schedule.agents]
-    actions: list[CollapseAction] = []
+    actions: list[Span] = []
+    vertices: list[str] = []
+    weights: list[int] = []
     per_agent: dict[int, range] = {}
     stays: dict[str, list[tuple[int, int, int]]] = {}
     for i, agent_runs in enumerate(runs):
-        start = len(actions)
         # per vertex: the indices of the agent's runs on it
         visits: dict[str, list[int]] = {}
         for r, (v, first, last) in enumerate(agent_runs):
             stays.setdefault(v, []).append((first, last, i))
             visits.setdefault(v, []).append(r)
+        rows: list[tuple[int, int, str, int]] = []
         for x, rs in visits.items():
             if len(rs) < 2 and mode == REDUCED:
                 continue
@@ -87,29 +88,33 @@ def generate_candidates(
                 vs = [(r, agent_runs[r][2], agent_runs[r][1]) for r in rs]
             for p, (ra, a, _) in enumerate(vs):
                 for rb, _, b in vs[p + 1 :]:
-                    actions.append(CollapseAction(i, a, b, x, rb - ra))
+                    rows.append((a, b, x, rb - ra))
+        # a fixes x = path[a] and (a, b) is unique: this is the (agent, a, b) order
+        rows.sort()
+        start = len(actions)
+        actions.extend((i, a, b) for a, b, _, _ in rows)
+        vertices.extend(x for _, _, x, _ in rows)
+        weights.extend(w for _, _, _, w in rows)
         per_agent[i] = range(start, len(actions))
-    # agents come in order, so the sort keeps each one's recorded range
-    actions.sort(key=lambda c: (c.agent, c.a, c.b))
-    collapsed = {c.x for c in actions}
+    collapsed = set(vertices)
     stays = {x: sorted(vs) for x, vs in stays.items() if x in collapsed}
-    return CandidateSet(tuple(actions), per_agent, stays)
+    return CandidateSet(tuple(actions), tuple(vertices), tuple(weights), per_agent, stays)
 
 
-def collapse_paths(schedule: Schedule, actions) -> Schedule:
-    """Apply collapse actions: positions on each [a, b] become x.
+def collapse_paths(schedule: Schedule, candidates: CandidateSet, selection) -> Schedule:
+    """Apply the selected candidates: positions on each [a, b] become x.
 
     Callers guarantee per-agent intervals do not conflict (disjoint, or
     touching/nested with the same vertex); application order is
     immaterial under that guarantee.
     """
     paths: dict[int, list[str]] = {}
-    for act in actions:
-        row = paths.get(act.agent)
+    for i in selection:
+        agent, a, b = candidates.actions[i]
+        row = paths.get(agent)
         if row is None:
-            row = paths[act.agent] = list(schedule.agents[act.agent].path)
-        for t in range(act.a, act.b + 1):
-            row[t] = act.x
+            row = paths[agent] = list(schedule.agents[agent].path)
+        row[a : b + 1] = [candidates.vertices[i]] * (b - a + 1)
     return schedule.with_paths(paths)
 
 

@@ -45,10 +45,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 
-from .candidates import CandidateSet, collapse_paths
+from .candidates import CandidateSet, Span, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
-from .relations import RelationSet, Span, intersecting_pairs
+from .relations import RelationSet, intersecting_pairs
 from .schedule import FeasibilityReport, Schedule, cost_moves, validate
 
 
@@ -58,7 +58,8 @@ class IlpModel:
 
     spans[i] is variable i's (agent, a, b); free variables of one agent
     whose spans intersect are mutex without being listed. The solve
-    reads only these fields; mutex lists the pairs on request.
+    reads only these fields; mutex lists the pairs on request. build_model
+    shares the weights and spans with the candidate set's columns.
     """
 
     weights: tuple[int, ...]
@@ -107,7 +108,7 @@ def build_model(relations: RelationSet, candidates: CandidateSet) -> IlpModel:
     exclusions stay implicit in the candidates' spans, and cross-agent
     exclusions are left out: the implications imply them.
     """
-    weights = tuple(c.weight for c in candidates.actions)
+    weights = candidates.weights
     fixed = set(relations.invalid)
     fixed.update(i for i, w in enumerate(weights) if w == 0)
     implications = tuple(
@@ -465,8 +466,7 @@ def apply_solution(
     violated its contract, so it raises instead of returning a bad
     schedule.
     """
-    chosen = [candidates.actions[i] for i in sorted(solution.selected)]
-    result = collapse_paths(schedule, chosen)
+    result = collapse_paths(schedule, candidates, solution.selected)
     report = validate(result, graph, mode)
     if not report.feasible:
         raise ConsistencyError(

@@ -69,7 +69,7 @@ def brute_force_over(
     report = validate(schedule, graph, mode)
     if not report.feasible:
         raise InfeasibleInputError(report)
-    positive = [i for i, c in enumerate(cands.actions) if c.weight > 0]
+    positive = [i for i, w in enumerate(cands.weights) if w > 0]
     if len(positive) > cap:
         raise CapExceededError(
             f"{len(positive)} positive-saving candidates exceed the cap of {cap}"
@@ -83,23 +83,17 @@ def brute_force_over(
     chosen: list[int] = []
 
     def compatible(idx: int) -> bool:
-        c = actions[idx]
+        agent, a, b = actions[idx]
         for j in chosen:
-            o = actions[j]
-            if o.agent != c.agent:
-                continue
-            overlap = c.a <= o.b and o.a <= c.b
-            if not overlap:
-                continue
-            touching = c.a == o.b or o.a == c.b
-            if allow_touching and touching:
-                continue  # single shared endpoint; both collapse to the same vertex
-            return False
+            other, oa, ob = actions[j]
+            # touching spans share one endpoint, so both collapse to the same vertex
+            if other == agent and a <= ob and oa <= b and not (allow_touching and (a == ob or oa == b)):
+                return False
         return True
 
     def evaluate() -> None:
         nonlocal best_saving, best_selection, enumerated
-        applied = collapse_paths(schedule, [actions[i] for i in chosen])
+        applied = collapse_paths(schedule, cands, chosen)
         if not validate(applied, graph, mode).feasible:
             return
         enumerated += 1

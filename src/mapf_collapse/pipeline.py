@@ -31,7 +31,7 @@ from .ilp import (
     solve_exact,
 )
 from .relations import RelationSet, build_relations
-from .schedule import STRICT, Schedule, isr, move_steps, path_runs, soc_from_moves, validate
+from .schedule import MODES, STRICT, Schedule, isr, move_steps, path_runs, soc_from_moves, validate
 
 DEFAULT_TIME_LIMIT_MS = 5000
 
@@ -43,6 +43,10 @@ class OptimizeConfig:
     time_limit_ms: int = DEFAULT_TIME_LIMIT_MS
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.aba_filter, bool):
+            raise ValueError(f"aba_filter must be a bool, got {self.aba_filter!r}")
         # the solve reads the limit in seconds, as a float
         if isinstance(self.time_limit_ms, bool) or not self.time_limit_ms <= sys.float_info.max:
             raise ValueError("time_limit_ms must be a number of milliseconds within float range")

@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .candidates import CandidateSet
+from .candidates import CandidateSet, Span
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class Dependency:
     blocker: int
     timestep: int
     suitable: tuple[int, ...]
-
-
-Span = tuple[int, int, int]  # (agent, a, b)
 
 
 def intersecting_pairs(spans: tuple[Span, ...], groups) -> list[tuple[int, int]]:
@@ -84,8 +81,8 @@ def grouped(keys: Sequence) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Constraints of one candidate set; spans[i] is candidate i's
-    (agent, a, b) and vertices[i] the vertex it collapses onto."""
+    """Constraints of one candidate set; spans and vertices are its
+    (agent, a, b) and vertex columns, shared, not copied."""
 
     spans: tuple[Span, ...]
     vertices: tuple[str, ...]
@@ -122,30 +119,30 @@ def build_relations(candidates: CandidateSet) -> RelationSet:
     """Extract dependencies and invalid actions; exclusions are listed
     only on request.
 
-    Reads only the candidate set: its actions, sorted by (agent, a, b),
-    the range of each agent's candidates (suitable sets are found by
-    bisecting it by start a) and the stays on each collapse vertex. An
-    action's blocking stays are the other agents' stays on its vertex
-    that meet [a, b], walked in (first, last, agent) order. Each records
-    a dependency at the first step it shares with [a, b], max(a, first),
-    unless the action already has one with the same suitable set; equal
-    sets belong to one agent, whose stays on x meet [a, b] in step
-    order, so the earliest is kept. Each stay's set is built and interned
-    once, so equal sets are one object and are compared by identity. An
-    action with an empty suitable set at some stay is invalid and
-    records no dependency.
+    Reads only the candidate set: its span and vertex columns, sorted by
+    (agent, a, b), the range of each agent's candidates (suitable sets
+    are found by bisecting it by start a) and the stays on each collapse
+    vertex. An action's blocking stays are the other agents' stays on
+    its vertex that meet [a, b], walked in (first, last, agent) order.
+    Each records a dependency at the first step it shares with [a, b],
+    max(a, first), unless the action already has one with the same
+    suitable set; equal sets belong to one agent, whose stays on x meet
+    [a, b] in step order, so the earliest is kept. Each stay's set is
+    built and interned once, so equal sets are one object and are
+    compared by identity. An action with an empty suitable set at some
+    stay is invalid and records no dependency.
     """
-    actions = candidates.actions
+    actions, vertices = candidates.actions, candidates.vertices
     suitable_by_stay: dict[tuple[int, int], tuple[int, ...]] = {}
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}  # one object per distinct set
 
     dependencies: list[Dependency] = []
     invalid: list[int] = []
-    for ci, c in enumerate(actions):
-        vstays = candidates.stays[c.x]
+    for ci, ((agent, a, b), x) in enumerate(zip(actions, vertices)):
+        vstays = candidates.stays[x]
         found: dict[int, Dependency] = {}  # by id of the interned set
-        for first, last, j in vstays[: bisect_right(vstays, c.b, key=itemgetter(0))]:
-            if last < c.a or j == c.agent:
+        for first, last, j in vstays[: bisect_right(vstays, b, key=itemgetter(0))]:
+            if last < a or j == agent:
                 continue
             suitable = suitable_by_stay.get((j, first))
             if suitable is None:
@@ -153,22 +150,17 @@ def build_relations(candidates: CandidateSet) -> RelationSet:
                 own = candidates.per_agent[j]
                 suitable = tuple(
                     s
-                    for s in own[: bisect_left(own, first, key=lambda i: actions[i].a)]
-                    if actions[s].b > last and actions[s].x != c.x
+                    for s in own[: bisect_left(own, first, key=lambda i: actions[i][1])]
+                    if actions[s][2] > last and vertices[s] != x
                 )
                 suitable = suitable_by_stay[j, first] = interned.setdefault(suitable, suitable)
             if not suitable:
                 invalid.append(ci)
                 break
             if id(suitable) not in found:
-                found[id(suitable)] = Dependency(ci, j, max(c.a, first), suitable)
+                found[id(suitable)] = Dependency(ci, j, max(a, first), suitable)
         else:
             dependencies.extend(found.values())
 
     dependencies.sort(key=lambda d: (d.action, d.blocker, d.timestep))
-    return RelationSet(
-        tuple((c.agent, c.a, c.b) for c in actions),
-        tuple(c.x for c in actions),
-        tuple(dependencies),
-        tuple(invalid),
-    )
+    return RelationSet(actions, vertices, tuple(dependencies), tuple(invalid))

@@ -20,7 +20,7 @@ from mapf_collapse import (
     grid_to_graph,
     noisy_rollout,
 )
-from mapf_collapse.candidates import EXHAUSTIVE, generate_candidates
+from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, generate_candidates
 from mapf_collapse.graph import parse_cell
 from mapf_collapse.reduction import reduce_independent_set
 from mapf_collapse.schedule import STRICT, FeasibilityReport, Violation, _check_mode
@@ -184,7 +184,36 @@ def crowded_schedules():
 
 def positive_exhaustive_count(schedule) -> int:
     cands = generate_candidates(schedule, EXHAUSTIVE)
-    return sum(1 for c in cands.actions if c.weight > 0)
+    return sum(1 for w in cands.weights if w > 0)
+
+
+def candidate_rows(candidates):
+    """Each candidate's (agent, a, b, x, weight), read off the columns."""
+    return [(*span, x, w) for span, x, w in zip(candidates.actions, candidates.vertices, candidates.weights)]
+
+
+def reference_candidates(schedule, mode):
+    """(actions, vertices, weights) by a scan over the cells: the reference
+    for generate_candidates.
+
+    Every pair a < b of one agent with path[a] == path[b], weighted by
+    the moves in [a, b], in (agent, a, b) order. Reduced mode keeps only
+    the pairs from the last step of a run to the first step of a later
+    run: path[a + 1] != path[a] and path[b - 1] != path[b].
+    """
+    actions, vertices, weights = [], [], []
+    for agent, ag in enumerate(schedule.agents):
+        p = ag.path
+        for a in range(len(p)):
+            for b in range(a + 1, len(p)):
+                if p[a] != p[b]:
+                    continue
+                if mode == REDUCED and (p[a + 1] == p[a] or p[b - 1] == p[b]):
+                    continue
+                actions.append((agent, a, b))
+                vertices.append(p[a])
+                weights.append(sum(p[t] != p[t + 1] for t in range(a, b)))
+    return tuple(actions), tuple(vertices), tuple(weights)
 
 
 def eager_exclusions_in(candidates):
@@ -193,9 +222,9 @@ def eager_exclusions_in(candidates):
     pairs = []
     for indices in candidates.per_agent.values():
         # indices are sorted by (a, b); sweep by start using bisect on starts
-        starts = [actions[i].a for i in indices]
+        starts = [actions[i][1] for i in indices]
         for pos, i in enumerate(indices):
-            hi = bisect_right(starts, actions[i].b)
+            hi = bisect_right(starts, actions[i][2])
             for pos2 in range(pos + 1, hi):
                 pairs.append((i, indices[pos2]))
     pairs.sort()
@@ -213,18 +242,18 @@ def per_step_dependencies(schedule, candidates):
     """
     from mapf_collapse.relations import Dependency
 
-    actions = candidates.actions
+    actions, vertices = candidates.actions, candidates.vertices
     dependencies, invalid = [], []
-    for ci, c in enumerate(actions):
+    for ci, ((agent, a, b), x) in enumerate(zip(actions, vertices)):
         seen, found, bad = set(), [], False
-        for k in range(c.a, c.b + 1):
+        for k in range(a, b + 1):
             for j, ag in enumerate(schedule.agents):
-                if j == c.agent or ag.path[k] != c.x:
+                if j == agent or ag.path[k] != x:
                     continue
                 suitable = tuple(
                     s
                     for s in candidates.per_agent.get(j, ())
-                    if actions[s].a <= k <= actions[s].b and actions[s].x != c.x
+                    if actions[s][1] <= k <= actions[s][2] and vertices[s] != x
                 )
                 if not suitable:
                     invalid.append(ci)
@@ -288,15 +317,15 @@ def all_pairs_cross_exclusions(candidates):
     vertex, sorted: the reference for the sweep in build_relations."""
     actions = candidates.actions
     by_vertex = {}
-    for idx, c in enumerate(actions):
-        by_vertex.setdefault(c.x, []).append(idx)
+    for idx, x in enumerate(candidates.vertices):
+        by_vertex.setdefault(x, []).append(idx)
     pairs = []
     for group in by_vertex.values():
         for p in range(len(group)):
-            ci = actions[group[p]]
+            agent_i, a_i, b_i = actions[group[p]]
             for q in range(p + 1, len(group)):
-                cj = actions[group[q]]
-                if ci.agent != cj.agent and ci.a <= cj.b and cj.a <= ci.b:
+                agent_j, a_j, b_j = actions[group[q]]
+                if agent_i != agent_j and a_i <= b_j and a_j <= b_i:
                     pairs.append((min(group[p], group[q]), max(group[p], group[q])))
     pairs.sort()
     return tuple(pairs)

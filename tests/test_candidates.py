@@ -16,6 +16,7 @@ from mapf_collapse.candidates import (
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
+    candidate_rows,
     crowded_schedules,
     random_rollout_instance,
     reference_aba_prefilter,
@@ -24,17 +25,13 @@ from helpers import (
 )
 
 
-def actions_as_tuples(cands):
-    return [(c.agent, c.a, c.b, c.x, c.weight) for c in cands.actions]
-
-
 # ------------------------------------------------------------- generation
 
 
 def test_exhaustive_aaabaaa():
     s = schedule_from_paths([list("AAABAAA")])
     cands = generate_candidates(s, EXHAUSTIVE)
-    a_actions = [c for c in cands.actions if c.x == "A"]
+    a_actions = [i for i, x in enumerate(cands.vertices) if x == "A"]
     assert len(a_actions) == 15  # C(6,2) pairs over the six A visits
     assert len(cands.actions) == 15  # B appears once: no pair
 
@@ -42,10 +39,10 @@ def test_exhaustive_aaabaaa():
 def test_reduced_aaabaaa():
     s = schedule_from_paths([list("AAABAAA")])
     cands = generate_candidates(s, REDUCED)
-    got = {(c.a, c.b) for c in cands.actions}
+    got = {(a, b) for _, a, b in cands.actions}
     assert got == {(2, 4)}
     assert got < {(0, 4), (0, 6), (2, 4), (2, 6)}
-    assert all(c.weight == 2 for c in cands.actions)
+    assert all(w == 2 for w in cands.weights)
 
 
 def test_reduced_endpoint_pairs_before_pruning():
@@ -54,7 +51,7 @@ def test_reduced_endpoint_pairs_before_pruning():
     exhaustive = generate_candidates(s, EXHAUSTIVE)
     endpoints = {0, 2, 4, 6}
     endpoint_pairs = [
-        c for c in exhaustive.actions if c.a in endpoints and c.b in endpoints and c.x == "A"
+        c for c in candidate_rows(exhaustive) if c[1] in endpoints and c[2] in endpoints and c[3] == "A"
     ]
     assert len(endpoint_pairs) == 6
     reduced = generate_candidates(s, REDUCED)
@@ -66,13 +63,14 @@ def test_reduced_endpoint_pairs_before_pruning():
 def test_reduced_edge_agent_block():
     red = reduce_independent_set(single_edge_graph(), 1)
     cands = generate_candidates(red.schedule, REDUCED)
-    edge_actions = [(c.a, c.b, c.x, c.weight) for c in cands.actions if c.agent == 2]
+    edge_actions = [(a, b, x, w) for agent, a, b, x, w in candidate_rows(cands) if agent == 2]
     assert edge_actions == [(0, 4, "a_e1", 4), (2, 6, "b_e1", 4)]
 
 
 def test_reduced_constant_path_empty():
     s = schedule_from_paths([["A", "A", "A", "A"]])
-    assert len(generate_candidates(s, REDUCED).actions) == 0
+    cands = generate_candidates(s, REDUCED)
+    assert cands.actions == cands.vertices == cands.weights == ()
 
 
 def test_candidates_sorted_canonically():
@@ -81,40 +79,43 @@ def test_candidates_sorted_canonically():
         s, _, _ = random_rollout_instance(rng)
         for mode in (REDUCED, EXHAUSTIVE):
             cands = generate_candidates(s, mode)
-            keys = [(c.agent, c.a, c.b) for c in cands.actions]
+            keys = list(cands.actions)
             assert keys == sorted(keys)
+            assert len(cands.vertices) == len(cands.weights) == len(keys)
             for agent, idxs in cands.per_agent.items():
-                assert all(cands.actions[i].agent == agent for i in idxs)
+                assert all(cands.actions[i][0] == agent for i in idxs)
 
 
 def test_reduced_subset_of_exhaustive():
     rng = random.Random(4)
     for _ in range(25):
         s, _, _ = random_rollout_instance(rng)
-        exh = {(c.agent, c.a, c.b, c.x): c.weight for c in generate_candidates(s, EXHAUSTIVE).actions}
-        for c in generate_candidates(s, REDUCED).actions:
-            assert exh[(c.agent, c.a, c.b, c.x)] == c.weight
+        exh = {c[:4]: c[4] for c in candidate_rows(generate_candidates(s, EXHAUSTIVE))}
+        for c in candidate_rows(generate_candidates(s, REDUCED)):
+            assert exh[c[:4]] == c[4]
 
 
 def test_reduced_candidate_stands_for_every_exhaustive_one():
     rng = random.Random(13)
     schedules = [random_rollout_instance(rng)[0] for _ in range(25)] + list(crowded_schedules())
     for s in schedules:
-        reduced = generate_candidates(s, REDUCED).actions
-        for c in generate_candidates(s, EXHAUSTIVE).actions:
-            if c.weight == 0:
+        reduced_set = generate_candidates(s, REDUCED)
+        exhaustive_set = generate_candidates(s, EXHAUSTIVE)
+        reduced = list(enumerate(candidate_rows(reduced_set)))
+        for ci, (agent, a, b, x, w) in enumerate(candidate_rows(exhaustive_set)):
+            if w == 0:
                 continue
             standins = [
-                r
-                for r in reduced
-                if (r.agent, r.x, r.weight) == (c.agent, c.x, c.weight) and c.a <= r.a and r.b <= c.b
+                ri
+                for ri, (r_agent, ra, rb, rx, rw) in reduced
+                if (r_agent, rx, rw) == (agent, x, w) and a <= ra and rb <= b
             ]
             assert len(standins) == 1
-            assert collapse_paths(s, standins) == collapse_paths(s, [c])
-        for r in reduced:
-            for q in reduced:
-                nested = q.a <= r.a and r.b <= q.b and (q.a, q.b) != (r.a, r.b)
-                assert not (q.agent == r.agent and q.weight == r.weight and nested)
+            assert collapse_paths(s, reduced_set, standins) == collapse_paths(s, exhaustive_set, [ci])
+        for _, (r_agent, ra, rb, _, rw) in reduced:
+            for _, (q_agent, qa, qb, _, qw) in reduced:
+                nested = qa <= ra and rb <= qb and (qa, qb) != (ra, rb)
+                assert not (q_agent == r_agent and qw == rw and nested)
 
 
 def test_single_action_application_effect():
@@ -122,17 +123,17 @@ def test_single_action_application_effect():
     for _ in range(25):
         s, _, _ = random_rollout_instance(rng)
         cands = generate_candidates(s, REDUCED)
-        for c in cands.actions:
-            applied = collapse_paths(s, [c])
-            before, after = s.agents[c.agent].path, applied.agents[c.agent].path
+        for i, (agent, a, b, x, w) in enumerate(candidate_rows(cands)):
+            applied = collapse_paths(s, cands, [i])
+            before, after = s.agents[agent].path, applied.agents[agent].path
             for t in range(s.horizon + 1):
-                if t <= c.a or t >= c.b:
+                if t <= a or t >= b:
                     assert after[t] == before[t]
                 else:
-                    assert after[t] == c.x
-            assert cost_moves(s) - cost_moves(applied) == c.weight
+                    assert after[t] == x
+            assert cost_moves(s) - cost_moves(applied) == w
             for j in range(s.n_agents):
-                if j != c.agent:
+                if j != agent:
                     assert applied.agents[j].path == s.agents[j].path
 
 

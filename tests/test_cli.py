@@ -241,8 +241,8 @@ def test_optimize_relations_dump(gadget_instance, capsys, tmp_path):
     assert set(rel) == {"spans", "vertices", "deps", "invalid"}
     inst = load_instance(gadget_instance)
     cands = optimize_schedule(inst.schedule, inst.graph, OptimizeConfig()).candidates
-    assert rel["spans"] == [[c.agent, c.a, c.b] for c in cands.actions]
-    assert rel["vertices"] == [c.x for c in cands.actions]
+    assert rel["spans"] == [list(span) for span in cands.actions]
+    assert rel["vertices"] == list(cands.vertices)
     within, cross = dumped_pairs(rel)
     assert within == eager_exclusions_in(cands) != ()
     assert cross == all_pairs_cross_exclusions(cands)
@@ -546,6 +546,17 @@ def strip_timing_columns(path):
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_non_positive_jobs_exit_1(tmp_path, capsys, jobs):
+    # a usage error, as gen --agents 0 is: nothing runs, no CSV is written
+    bench_dir = _make_bench_dir(tmp_path, capsys, n=1)
+    out_csv = tmp_path / "bench.csv"
+    assert main(["bench", str(bench_dir), "--out", str(out_csv), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out_csv.exists()
 
 
 def test_bench_jobs_determinism(tmp_path, capsys):

@@ -93,8 +93,8 @@ def test_build_model_fixes_zero_weight_exhaustive_candidates():
     s = schedule_from_paths([list("AAABAAA")])
     cands = generate_candidates(s, EXHAUSTIVE)
     model = build_model(build_relations(cands), cands)
-    for i, c in enumerate(cands.actions):
-        assert (c.weight == 0) == (i in model.fixed_zero)
+    for i, w in enumerate(cands.weights):
+        assert (w == 0) == (i in model.fixed_zero)
     assert all(model.weights[i] >= 1 for i in range(model.n_vars) if i not in model.fixed_zero)
 
 
@@ -105,7 +105,7 @@ def test_solve_exact_gadget():
     red, cands, model = gadget_pipeline()
     sol = solve_exact(model, 10.0)
     assert sol.saving == 6 and sol.optimal
-    picked = {(cands.actions[i].agent, cands.actions[i].a, cands.actions[i].b) for i in sol.selected}
+    picked = {cands.actions[i] for i in sol.selected}
     assert picked in ({(0, 0, 6), (2, 0, 4)}, {(1, 0, 6), (2, 2, 6)})
 
 
@@ -197,7 +197,7 @@ def test_greedy_respects_constraints_randomized():
 
 def test_apply_solution_gadget_first_option():
     red, cands, model = gadget_pipeline()
-    ids = {(c.agent, c.a, c.b): i for i, c in enumerate(cands.actions)}
+    ids = {span: i for i, span in enumerate(cands.actions)}
     sol = CollapseSolution(frozenset({ids[(0, 0, 6)], ids[(2, 0, 4)]}), 6, True)
     out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict")
     assert out.agents[0].path == tuple(["x_u1"] * 7)

@@ -50,7 +50,7 @@ def test_oracle_cap_refusal():
     while True:
         s, g, _ = random_rollout_instance(rng, noise=0.8, horizon=10, n_agents=4)
         cands = generate_candidates(s, EXHAUSTIVE)
-        positive = sum(1 for c in cands.actions if c.weight > 0)
+        positive = sum(1 for w in cands.weights if w > 0)
         if positive > 3:
             with pytest.raises(CapExceededError):
                 brute_force_collapse(s, g, "relaxed", cap=3)
@@ -72,10 +72,10 @@ def test_oracle_selection_achieves_saving():
     for _ in range(20):
         s, g, _ = random_rollout_instance(rng, noise=0.5)
         cands = generate_candidates(s, EXHAUSTIVE)
-        if sum(1 for c in cands.actions if c.weight > 0) > 20:
+        if sum(1 for w in cands.weights if w > 0) > 20:
             continue
         result = brute_force_collapse(s, g, "relaxed")
-        applied = collapse_paths(s, [cands.actions[i] for i in result.best_selection])
+        applied = collapse_paths(s, cands, result.best_selection)
         assert validate(applied, g, "relaxed").feasible
         assert cost_moves(s) - cost_moves(applied) == result.best_saving
 
@@ -87,7 +87,7 @@ def test_oracle_touching_pairs_add_nothing():
     while checked < 25:
         s, g, _ = random_rollout_instance(rng, noise=0.6)
         cands = generate_candidates(s, EXHAUSTIVE)
-        if sum(1 for c in cands.actions if c.weight > 0) > 14:
+        if sum(1 for w in cands.weights if w > 0) > 14:
             continue
         strict_disjoint = brute_force_over(s, g, cands, "relaxed", cap=14)
         touching = brute_force_over(s, g, cands, "relaxed", cap=14, allow_touching=True)

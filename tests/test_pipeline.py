@@ -42,6 +42,35 @@ def test_pipeline_rejects_infeasible():
         optimize_schedule(s, g, OptimizeConfig(mode="relaxed"))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("aba_filter", "off", "aba_filter must be a bool"),
+        ("aba_filter", 0, "aba_filter must be a bool"),
+        ("aba_filter", None, "aba_filter must be a bool"),
+        ("mode", "bogus", "mode must be one of"),
+        ("mode", None, "mode must be one of"),
+    ],
+)
+def test_config_rejects_a_non_bool_filter_and_an_unknown_mode(field, value, message):
+    # a truthy string would otherwise run the prefilter while the stats
+    # echo it, and an unknown mode would wait for validate to fail
+    with pytest.raises(ValueError, match=message):
+        OptimizeConfig(**{field: value})
+
+
+def test_candidate_columns_are_shared_not_copied():
+    # the relations, the model and the candidate set hold one table
+    rng = random.Random(107)
+    s, g, _ = random_rollout_instance(rng, noise=0.6, horizon=12, n_agents=3)
+    result = optimize_schedule(s, g, OptimizeConfig(mode="relaxed", aba_filter=False))
+    cands = result.candidates
+    assert cands.actions
+    assert result.relations.spans is result.model.spans is cands.actions
+    assert result.relations.vertices is cands.vertices
+    assert result.model.weights is cands.weights
+
+
 def test_saving_accounting_includes_filter():
     rng = random.Random(97)
     for _ in range(20):

@@ -7,8 +7,9 @@ prefilter's triple scan rewrites what the per-cell scan rewrites, in as
 many passes, and the move count, settle times and runs read from
 validate's move steps equal their per-cell references. Over rollouts
 and colliding paths every cross-agent exclusion is implied by the
-model's fixed zeros, implications and same-agent overlaps, and the
-dependencies and invalid candidates are the per-step scan's. Over
+model's fixed zeros, implications and same-agent overlaps, the
+candidate columns are the per-cell scan's, and the dependencies and
+invalid candidates are the per-step scan's. Over
 hand-built models, whose spans come in any order, the component split
 is the all-pairs union, the exact solve meets the brute force, and the
 listed, reference and solver mutex counts agree. Over
@@ -58,6 +59,7 @@ from helpers import (
     random_rollout_instance,
     reference_aba_prefilter,
     reference_agent_density,
+    reference_candidates,
     reference_cost_moves,
     reference_n_mutex,
     reference_runs,
@@ -279,6 +281,16 @@ def test_dependencies_match_per_step_scan_on_shared_cells(schedule, mode):
     cands = generate_candidates(schedule, mode)
     rel = build_relations(cands)
     assert (rel.dependencies, rel.invalid) == per_step_dependencies(schedule, cands)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    schedule=st.one_of(rollout_schedules(), oscillating_schedules()),
+    mode=st.sampled_from([REDUCED, EXHAUSTIVE]),
+)
+def test_candidate_columns_match_per_cell_scan(schedule, mode):
+    cands = generate_candidates(schedule, mode)
+    assert (cands.actions, cands.vertices, cands.weights) == reference_candidates(schedule, mode)
 
 
 @st.composite

@@ -14,7 +14,7 @@ from mapf_collapse import (
 from mapf_collapse.candidates import REDUCED
 from mapf_collapse.reduction import BLOCK, reduce_independent_set
 
-from helpers import single_edge_graph, square_graph, triangle_graph
+from helpers import candidate_rows, single_edge_graph, square_graph, triangle_graph
 
 
 def test_reduce_single_edge_matches_gadget():
@@ -77,27 +77,28 @@ def test_reduced_candidates_shape_per_agent():
         h = Graph(names, rng.sample(pairs, rng.randint(1, len(pairs))))
         red = reduce_independent_set(h, 1)
         cands = generate_candidates(red.schedule, REDUCED)
+        rows = candidate_rows(cands)
         for u, agent_idx in red.vertex_agents.items():
-            acts = [cands.actions[i] for i in cands.per_agent.get(agent_idx, ())]
-            assert [(a.a, a.b, a.weight) for a in acts] == [(0, red.schedule.horizon, 2)]
-            assert acts[0].x == f"x_{u}"
+            acts = [rows[i] for i in cands.per_agent.get(agent_idx, ())]
+            assert [(a, b, w) for _, a, b, _, w in acts] == [(0, red.schedule.horizon, 2)]
+            assert acts[0][3] == f"x_{u}"
         for r, agent_idx in enumerate(red.edge_agents, start=1):
             theta = BLOCK * (r - 1)
-            acts = [cands.actions[i] for i in cands.per_agent.get(agent_idx, ())]
-            assert all(a.weight == 4 for a in acts)
+            acts = [rows[i] for i in cands.per_agent.get(agent_idx, ())]
+            assert all(w == 4 for *_, w in acts)
             # every positive action is equivalent to one of the two block
             # collapses: a-endpoint ones end at theta+4, b-endpoint ones
             # start at theta+2
-            a_side = [a for a in acts if a.x == f"a_e{r}"]
-            b_side = [a for a in acts if a.x == f"b_e{r}"]
+            a_side = [(a, b) for _, a, b, x, _ in acts if x == f"a_e{r}"]
+            b_side = [(a, b) for _, a, b, x, _ in acts if x == f"b_e{r}"]
             assert len(acts) == len(a_side) + len(b_side)
             assert a_side and b_side
-            assert all(a.b == theta + 4 and a.a <= theta for a in a_side)
-            assert all(a.a == theta + 2 and a.b >= theta + 6 for a in b_side)
+            assert all(b == theta + 4 and a <= theta for a, b in a_side)
+            assert all(a == theta + 2 and b >= theta + 6 for a, b in b_side)
             # the two sides overlap pairwise, so at most one fires per agent
-            for x in a_side:
-                for y in b_side:
-                    assert x.a <= y.b and y.a <= x.b
+            for xa, xb in a_side:
+                for ya, yb in b_side:
+                    assert xa <= yb and ya <= xb
 
 
 def test_roundtrip_single_edge():

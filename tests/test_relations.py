@@ -30,7 +30,7 @@ from helpers import (
 
 
 def by_tuple(cands):
-    return {(c.agent, c.a, c.b): i for i, c in enumerate(cands.actions)}
+    return {span: i for i, span in enumerate(cands.actions)}
 
 
 # --------------------------------------------------------- worked examples
@@ -181,7 +181,7 @@ def test_relation_feasible_selections_validate_and_match_oracle():
         rel = build_relations(cands)
         best = 0
         for chosen in relation_feasible_subsets(cands, rel):
-            applied = collapse_paths(s, [cands.actions[i] for i in chosen])
+            applied = collapse_paths(s, cands, chosen)
             report = validate(applied, g, "relaxed")
             assert report.feasible, (s, chosen, report.violations)
             assert not any(v.kind == "edge-collision" for v in report.violations)
@@ -200,7 +200,7 @@ def test_candidate_set_order_ranges_and_stays():
     n_stays = 0
     for s, mode in itertools.product(schedules, (REDUCED, EXHAUSTIVE)):
         cands = generate_candidates(s, mode)
-        keys = [(c.agent, c.a, c.b) for c in cands.actions]
+        keys = list(cands.actions)
         assert keys == sorted(keys)
         covered = []
         assert sorted(cands.per_agent) == list(range(s.n_agents))
@@ -213,7 +213,7 @@ def test_candidate_set_order_ranges_and_stays():
         for j, ag in enumerate(s.agents):
             for v, first, last in reference_runs(ag.path):
                 expected.setdefault(v, []).append((first, last, j))
-        vertices = {c.x for c in cands.actions}
+        vertices = set(cands.vertices)
         assert set(cands.stays) == vertices
         for x in vertices:
             assert cands.stays[x] == sorted(expected[x])
@@ -227,8 +227,8 @@ def test_relations_json_dump_shape():
     rel = build_relations(cands)
     data = json.loads(json.dumps(rel.to_json_dict()))
     assert set(data) == {"spans", "vertices", "deps", "invalid"}
-    assert data["spans"] == [[c.agent, c.a, c.b] for c in cands.actions]
-    assert data["vertices"] == [c.x for c in cands.actions]
+    assert data["spans"] == [list(span) for span in cands.actions]
+    assert data["vertices"] == list(cands.vertices)
     within, cross = dumped_pairs(data)
     assert within == eager_exclusions_in(cands) == ((2, 3),)
     assert cross == all_pairs_cross_exclusions(cands)

@@ -13,6 +13,7 @@ from mapf_collapse import (
     UnsupportedScheduleError,
     agent_density,
     cost_moves,
+    generate_candidates,
     grid_to_graph,
     isr,
     load_instance,
@@ -20,7 +21,7 @@ from mapf_collapse import (
     soc,
     validate,
 )
-from mapf_collapse.candidates import collapse_paths
+from mapf_collapse.candidates import REDUCED, collapse_paths
 from mapf_collapse.reduction import reduce_independent_set
 from mapf_collapse.schedule import Instance
 
@@ -163,11 +164,11 @@ def test_soc_resting_agent_contributes_zero():
 
 
 def test_soc_after_collapse(gadget):
-    from mapf_collapse import CollapseAction
-
     # collapse the first vertex agent and the first edge-agent option
-    acts = [CollapseAction(0, 0, 6, "x_u1", 2), CollapseAction(2, 0, 4, "a_e1", 4)]
-    collapsed = collapse_paths(gadget.schedule, acts)
+    cands = generate_candidates(gadget.schedule, REDUCED)
+    acts = [cands.actions.index((0, 0, 6)), cands.actions.index((2, 0, 4))]
+    assert [cands.vertices[i] for i in acts] == ["x_u1", "a_e1"]
+    collapsed = collapse_paths(gadget.schedule, cands, acts)
     assert soc(collapsed) == 12
     assert cost_moves(collapsed) == 4
 
