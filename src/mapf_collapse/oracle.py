@@ -8,7 +8,8 @@ difference. Zero-weight candidates rewrite nothing, so they are skipped
 during enumeration; the size cap applies to the remaining positive ones.
 
 brute_force_mis enumerates vertex subsets for maximum independent set.
-Both refuse inputs above their caps instead of melting down.
+Both refuse inputs above their caps instead of melting down; a negative
+cap is a usage error (ValueError), not a refusal.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ class OracleResult:
             "best_selection": list(self.best_selection),
             "enumerated": self.enumerated,
         }
+
+
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
 
 
 def brute_force_collapse(
@@ -66,6 +72,7 @@ def brute_force_over(
     allow_touching, same-agent intervals may share an endpoint (they then
     collapse to the same vertex by construction); the default requires
     strict disjointness."""
+    _check_cap(cap)
     report = validate(schedule, graph, mode)
     if not report.feasible:
         raise InfeasibleInputError(report)
@@ -119,6 +126,7 @@ def brute_force_over(
 
 def brute_force_mis(graph: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
     """Maximum independent set size by subset enumeration."""
+    _check_cap(cap)
     n = len(graph.vertices)
     if n > cap:
         raise CapExceededError(f"{n} vertices exceed the MIS cap of {cap}")

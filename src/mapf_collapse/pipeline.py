@@ -2,16 +2,18 @@
 
 optimize_schedule validates the input in the requested mode, optionally
 runs the ABA prefilter, generates candidates, builds relations and the
-0/1 model, solves, applies the selection, and re-validates. Reported
-cost/SoC deltas always compare the original input against the final
-output, so the prefilter's removals are part of the saving.
+0/1 model, solves, and applies the selection, checking the result where
+it differs from the validated input. Reported cost/SoC deltas always
+compare the original input against the final output, so the
+prefilter's removals are part of the saving.
 
 Each path's move steps are found once per call, by the input's
 validation, and every stage reads them: the move counts and settle
-times, the prefilter's triples, and the constant runs that candidates
-and stays come from. Only the paths the prefilter rewrites are stepped
-again, and the output's moves come from its own validation in
-apply_solution. Nothing is kept on the caller's schedule.
+times, the prefilter's triples, the constant runs that candidates and
+stays come from, and apply_solution's check, which reads the output's
+moves off the input's. Only the paths the prefilter rewrites or the
+selection changes are stepped again. Nothing is kept on the caller's
+schedule.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ def optimize_schedule(
 
     t_build = time.monotonic()
     runs = [path_runs(ag.path, steps) for ag, steps in zip(working.agents, moves)]
-    # nothing reads the move lists past here, nor the runs past candidates:
-    # freed, they are not held through the solve and apply peaks
-    del report, moves
+    # nothing reads the working move lists past here, nor the runs past
+    # candidates: freed, the rewritten rows' lists and the runs are not
+    # held through the solve. The input's lists stay for apply's check.
+    del moves
     cands = generate_candidates(working, runs=runs)
     del runs
     rel = build_relations(cands)
@@ -119,7 +122,10 @@ def optimize_schedule(
     build_time = time.monotonic() - t_build
 
     solution = solve_exact(model, config.time_limit_ms / 1000.0)
-    final, final_report = apply_solution(working, cands, solution, graph, config.mode, cost=cost_working)
+    final, final_report = apply_solution(
+        working, cands, solution, graph, config.mode, cost=cost_working, validated=(schedule, report.moves)
+    )
+    del report
     cost_after = sum(map(len, final_report.moves))
 
     total_time = time.monotonic() - t_start

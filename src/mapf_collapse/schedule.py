@@ -87,7 +87,9 @@ class Violation:
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Violations found by validate. moves[i] lists agent i's move steps
-    (move_steps of its path); it is neither compared nor written out."""
+    (move_steps of its path); it is neither compared nor written out.
+    apply_solution also builds a feasible report, without violations,
+    for an output it checked against a validated input."""
 
     feasible: bool
     violations: tuple[Violation, ...]

@@ -9,6 +9,7 @@ from bisect import bisect_right
 
 from mapf_collapse import (
     AgentRecord,
+    ConsistencyError,
     Graph,
     GridMap,
     IlpModel,
@@ -17,10 +18,12 @@ from mapf_collapse import (
     Schedule,
     UnknownVertexError,
     UnsupportedScheduleError,
+    cost_moves,
     grid_to_graph,
     noisy_rollout,
+    validate,
 )
-from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, generate_candidates
+from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, collapse_paths, generate_candidates
 from mapf_collapse.graph import parse_cell
 from mapf_collapse.reduction import reduce_independent_set
 from mapf_collapse.schedule import STRICT, FeasibilityReport, Violation, _check_mode
@@ -486,6 +489,24 @@ def reference_validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> 
 
     violations.sort(key=lambda v: (v.timestep, v.kind, v.agents))
     return FeasibilityReport(not violations, tuple(violations))
+
+
+def reference_apply(schedule, candidates, solution, graph, mode=STRICT):
+    """apply_solution without the check against a validated input: the
+    selection collapsed, then the full validate and the saving check,
+    raising ConsistencyError with apply_solution's messages."""
+    result = collapse_paths(schedule, candidates, solution.selected)
+    report = validate(result, graph, mode)
+    if not report.feasible:
+        raise ConsistencyError(
+            f"applied solution is infeasible, first violation: {report.violations[0]}"
+        )
+    removed = cost_moves(schedule) - sum(map(len, report.moves))
+    if removed != solution.saving:
+        raise ConsistencyError(
+            f"saving accounting mismatch: schedule lost {removed} moves, solver claimed {solution.saving}"
+        )
+    return result, report
 
 
 def reference_cost_moves(schedule: Schedule) -> int:

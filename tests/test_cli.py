@@ -303,6 +303,11 @@ def test_oracle_cap_exit_4(gadget_instance, capsys):
     assert code == 4
 
 
+def test_oracle_negative_cap_exit_1(gadget_instance, capsys):
+    assert main(["oracle", gadget_instance, "--cap", "-1"]) == 1
+    assert "cap must be at least 0, got -1" in capsys.readouterr().err
+
+
 def test_reduce_single_edge(tmp_path, capsys):
     gpath = tmp_path / "h.json"
     gpath.write_text(json.dumps({"vertices": ["u1", "u2"], "edges": [["u1", "u2"]]}))

@@ -20,6 +20,7 @@ from mapf_collapse import (
     solve_greedy,
     validate,
 )
+from mapf_collapse import ilp
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
 from mapf_collapse.ilp import CollapseSolution, _Agent, _components, _owned
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
@@ -224,10 +225,37 @@ def test_apply_solution_mutual_oscillation_both():
 
 def test_apply_solution_rejects_bad_selection():
     s, g, cands, _ = mutual_oscillation()
-    # selecting only the A-collapse parks agent 0 on the crossing vertex
-    bad = CollapseSolution(frozenset({0}), 2, True)
-    with pytest.raises(ConsistencyError):
-        apply_solution(s, cands, bad, g, "relaxed")
+    validated = (s, validate(s, g, "relaxed").moves)
+    for selected, saving, message in (
+        # only the A-collapse parks agent 0 on the crossing vertex
+        ({0}, 2, "infeasible, first violation: Violation(kind='vertex-collision'"),
+        ({0, 1}, 3, "saving accounting mismatch: schedule lost 4 moves, solver claimed 3"),
+    ):
+        bad = CollapseSolution(frozenset(selected), saving, True)
+        with pytest.raises(ConsistencyError) as full:
+            apply_solution(s, cands, bad, g, "relaxed")
+        assert message in str(full.value)
+        # checked against the validated input, the selection fails the
+        # check and goes through the full validate: the same error
+        with pytest.raises(ConsistencyError) as checked:
+            apply_solution(s, cands, bad, g, "relaxed", validated=validated)
+        assert str(checked.value) == str(full.value)
+
+
+def test_checked_apply_does_not_run_the_full_validate(monkeypatch):
+    s, g, cands, model = mutual_oscillation()
+    sol = solve_exact(model, 5.0)
+    full, full_report = apply_solution(s, cands, sol, g, "relaxed")
+    validated = (s, validate(s, g, "relaxed").moves)
+
+    def refuse(*args):
+        raise AssertionError("the full validate ran")
+
+    monkeypatch.setattr(ilp, "validate", refuse)
+    out, report = apply_solution(s, cands, sol, g, "relaxed", validated=validated)
+    assert out == full
+    assert report == full_report
+    assert report.moves == full_report.moves == ([], [])
 
 
 # ---------------------------------------------------------------- properties

@@ -115,6 +115,19 @@ def test_mis_isolated_vertices():
     assert brute_force_mis(g) == 3
 
 
+def test_negative_caps_are_usage_errors():
+    s = schedule_from_paths([["A", "B"]])
+    g = Graph(["A", "B"], [("A", "B")])
+    cands = generate_candidates(s, EXHAUSTIVE)
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+        brute_force_over(s, g, cands, "relaxed", cap=-1)
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+        brute_force_mis(triangle_graph(), cap=-1)
+    # 0 is a cap: a graph with a vertex exceeds it
+    with pytest.raises(CapExceededError):
+        brute_force_mis(triangle_graph(), cap=0)
+
+
 def test_mis_cap():
     names = [f"v{i}" for i in range(25)]
     with pytest.raises(CapExceededError):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from mapf_collapse import Graph, InfeasibleInputError, cost_moves, validate
+from mapf_collapse import ConsistencyError, Graph, InfeasibleInputError, cost_moves, validate
+from mapf_collapse import pipeline
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule, strip_timing
 from mapf_collapse.reduction import reduce_independent_set
 
-from helpers import random_rollout_instance, schedule_from_paths, single_edge_graph
+from helpers import complete_graph, random_rollout_instance, schedule_from_paths, single_edge_graph
 
 STATS_FIELDS = {
     "n_actions",
@@ -111,8 +112,25 @@ def test_optimize_leaves_the_input_untouched_and_calls_stay_cold():
         assert first.schedule == second.schedule
 
 
+def test_apply_check_is_anchored_on_the_input(monkeypatch):
+    """The output is checked where it differs from the validated input,
+    not from the prefiltered schedule, so a prefilter rewrite that
+    collides is caught."""
+    g = complete_graph(["A", "B", "C", "D"])
+    s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
+    assert validate(s, g).feasible
+
+    def colliding_prefilter(schedule, moves=None):
+        # parks agent 0 on A at step 1, where agent 1 is
+        return schedule.with_paths({0: ("A", "A", "A")}), 1
+
+    monkeypatch.setattr(pipeline, "aba_prefilter_detailed", colliding_prefilter)
+    collision = r"first violation: Violation\(kind='vertex-collision', agents=\(0, 1\), timestep=1\)"
+    with pytest.raises(ConsistencyError, match=collision):
+        optimize_schedule(s, g)
+
+
 def test_custom_solver_hook(monkeypatch):
-    from mapf_collapse import pipeline
     from mapf_collapse.ilp import solve_exact
 
     calls = []

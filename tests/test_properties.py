@@ -9,7 +9,10 @@ validate's move steps equal their per-cell references. Over rollouts
 and colliding paths every cross-agent exclusion is implied by the
 model's fixed zeros, implications and same-agent overlaps, the
 candidate columns are the per-cell scan's, and the dependencies and
-invalid candidates are the per-step scan's. Over
+invalid candidates are the per-step scan's. Over rollouts in both modes,
+prefiltered or not, with selections that bypass the solver, apply
+checked against the validated input returns the schedule and moves of
+a collapse plus the full validate, or raises the same error. Over
 hand-built models, whose spans come in any order, the component split
 is the all-pairs union, the exact solve meets the brute force, and the
 listed, reference and solver mutex counts agree. Over
@@ -21,6 +24,7 @@ import json
 import os
 import random
 import tempfile
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 
 from mapf_collapse import (
     CapExceededError,
+    ConsistencyError,
     Graph,
     GridMap,
     IlpModel,
@@ -44,9 +49,10 @@ from mapf_collapse import (
     solve_exact,
     validate,
 )
-from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, aba_prefilter_detailed
+from mapf_collapse import pipeline
+from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, CandidateSet, aba_prefilter_detailed, collapse_paths
 from mapf_collapse.cli import main
-from mapf_collapse.ilp import _components, _owned
+from mapf_collapse.ilp import CollapseSolution, _components, _owned
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.schedule import MODES, RELAXED, move_steps, path_runs, soc_from_moves
 
@@ -59,6 +65,7 @@ from helpers import (
     random_rollout_instance,
     reference_aba_prefilter,
     reference_agent_density,
+    reference_apply,
     reference_candidates,
     reference_cost_moves,
     reference_n_mutex,
@@ -291,6 +298,66 @@ def test_dependencies_match_per_step_scan_on_shared_cells(schedule, mode):
 def test_candidate_columns_match_per_cell_scan(schedule, mode):
     cands = generate_candidates(schedule, mode)
     assert (cands.actions, cands.vertices, cands.weights) == reference_candidates(schedule, mode)
+
+
+@st.composite
+def selections_on_rollouts(draw):
+    """(input, graph, mode, input moves, working, candidates, solution):
+    a rollout made feasible in either mode by taking each last cell as
+    the goal, then itself or its prefiltered rewrite as the working
+    schedule. Its reduced candidates plus up to two pairs of touching
+    spans a..m..b of one agent, each collapsing onto the vertex at a, m
+    or b, so a pair may meet at two vertices and a span may rewrite the
+    first or the last cell. The solver is bypassed: any nonempty set
+    of them is selected, which can break an implication or overlap on
+    one agent, and the claimed saving is the true one, the selected
+    weights' sum, or one off the true one."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    size, n_agents = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    horizon, noise = draw(st.integers(2, 12)), draw(st.sampled_from([0.3, 0.6, 0.9]))
+    rollout, graph, _ = random_rollout_instance(rng, size, size, n_agents, horizon, noise)
+    schedule = schedule_from_paths([ag.path for ag in rollout.agents])
+    mode = draw(st.sampled_from(MODES))
+    moves = validate(schedule, graph, mode).moves
+    working = schedule
+    if draw(st.booleans()):
+        working = aba_prefilter_detailed(schedule, moves=moves)[0]
+    cands = generate_candidates(working, REDUCED)
+    rows = list(zip(cands.actions, cands.vertices, cands.weights))
+    T = schedule.horizon
+    for _ in range(draw(st.integers(0, 2)) if T >= 2 else 0):
+        agent = draw(st.integers(0, schedule.n_agents - 1))
+        a, m, b = sorted(draw(st.lists(st.integers(0, T), min_size=3, max_size=3, unique=True)))
+        path = working.agents[agent].path
+        ends = st.sampled_from([path[a], path[m], path[b]])
+        for lo, hi in ((a, m), (m, b)):
+            rows.append(((agent, lo, hi), draw(ends), sum(map(ne, path[lo:hi], path[lo + 1 : hi + 1]))))
+    actions, vertices, weights = (tuple(column) for column in zip(*rows)) if rows else ((), (), ())
+    cands = CandidateSet(actions, vertices, weights, {}, {})
+    selected = frozenset(draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)) if rows else ())
+    true = cost_moves(working) - cost_moves(collapse_paths(working, cands, selected))
+    saving = draw(st.sampled_from([true, sum(weights[i] for i in selected), true - 1, true + 1]))
+    return schedule, graph, mode, moves, working, cands, CollapseSolution(selected, saving, optimal=False)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(case=selections_on_rollouts())
+def test_checked_apply_matches_full_validation(case):
+    schedule, graph, mode, moves, working, cands, solution = case
+
+    def outcome(apply):
+        try:
+            result, report = apply()
+        except ConsistencyError as exc:
+            return str(exc)
+        return result, report, report.moves
+
+    checked = outcome(
+        lambda: pipeline.apply_solution(
+            working, cands, solution, graph, mode, cost=cost_moves(working), validated=(schedule, moves)
+        )
+    )
+    assert checked == outcome(lambda: reference_apply(working, cands, solution, graph, mode))
 
 
 @st.composite
