@@ -51,7 +51,7 @@ from .candidates import CandidateSet, Span, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
 from .relations import RelationSet, intersecting_pairs
-from .schedule import FeasibilityReport, Schedule, cost_moves, validate
+from .schedule import Schedule, cost_moves, move_steps, validate
 
 
 @dataclass(frozen=True)
@@ -458,44 +458,47 @@ def apply_solution(
     graph: Graph,
     mode: str = "strict",
     cost: int | None = None,
-    validated: tuple[Schedule, Sequence[list[int]]] | None = None,
-) -> tuple[Schedule, FeasibilityReport]:
+    *,
+    validated: tuple[Schedule, Sequence[int]],
+) -> tuple[Schedule, dict[int, list[int]]]:
     """Apply the selected collapses and check the result.
 
-    Returns the result and its validation report, whose moves give the
-    result's move count and settle times. cost is the schedule's move
-    count, counted from its paths when not given. A validation failure
-    or a saving mismatch here means the relation builder or solver
-    violated its contract, so it raises instead of returning a bad
-    schedule.
+    validated is (input, counts): the schedule this one was derived from
+    (the same schedule, or the prefilter's rewrite of it), which passed
+    validate in mode, and each of its paths' move count. Returns the
+    result and the move steps of each of its rows whose path differs
+    from the input's, keyed by agent; every other row's moves are the
+    input's. cost is the schedule's move count,
+    counted from its paths when not given. A failed check or a saving
+    mismatch here means the relation builder or solver violated its
+    contract, so it raises instead of returning a bad schedule.
 
-    validated may give (input, moves): the schedule this one was derived
-    from (the same schedule, or the prefilter's rewrite of it), which
-    passed validate in mode, and that report's moves. Then only the
-    result's cells that differ from the input are checked. For every
-    row whose path differs from the input's:
-    - its length, start, goal, first cell and last cell are the input's;
-    - no move of the result is at a step next to a changed cell, so each
-      changed cell equals both its neighbours.
+    Only the result's cells that differ from the input are checked. For
+    every row whose path differs from the input's:
+    - its start, goal, first cell and last cell are the input's;
+    - both cells of each of its moves are unchanged, so each changed
+      cell equals both its neighbours.
     And every timestep holding a changed cell has no repeated vertex in
     its column. Each changed cell then repeats an unchanged neighbour's
     vertex, and every move of the result is an input move between the
-    same two vertices at the same step: the row's moves are its input
-    moves minus the steps s where s or s + 1 changed. So no unknown
-    vertex, disconnected step, swap, start, goal or duplicate violation
-    can appear that the input lacked, and a vertex collision can only be
-    at a checked timestep. The result's move count must also be cost -
-    solution.saving. If any test fails, or validated is not given, the
-    result goes through the full validate and the saving check, so every
-    verdict and message is the same either way.
+    same two vertices at the same step. So no unknown vertex,
+    disconnected step, swap, start, goal or duplicate violation can
+    appear that the input lacked, and a vertex collision can only be at
+    a checked timestep. The result's move count, the input's counts with
+    the stepped rows' own in their place, must also be cost -
+    solution.saving. If any test fails, the result goes through the full
+    validate and the saving check, so every verdict and message is the
+    one a full validation gives.
     """
     result = collapse_paths(schedule, candidates, solution.selected)
     if cost is None:
         cost = cost_moves(schedule)
-    if validated is not None:
-        moves = _moves_if_changes_kept_feasible(result, *validated)
-        if moves is not None and sum(map(len, moves)) == cost - solution.saving:
-            return result, FeasibilityReport(True, (), moves)
+    base, counts = validated
+    restepped = _restep_if_changes_kept_feasible(result, base)
+    if restepped is not None:
+        n_moves = sum(counts) + sum(len(steps) - counts[i] for i, steps in restepped.items())
+        if n_moves == cost - solution.saving:
+            return result, restepped
     report = validate(result, graph, mode)
     if not report.feasible:
         raise ConsistencyError(
@@ -506,48 +509,43 @@ def apply_solution(
         raise ConsistencyError(
             f"saving accounting mismatch: schedule lost {removed} moves, solver claimed {solution.saving}"
         )
-    return result, report
+    rows = zip(result.agents, base.agents, report.moves)
+    return result, {i: steps for i, (ag, before, steps) in enumerate(rows) if ag.path != before.path}
 
 
-def _moves_if_changes_kept_feasible(
-    result: Schedule, base: Schedule, base_moves: Sequence[list[int]]
-) -> tuple[list[int], ...] | None:
-    """result's move lists if its cells that differ from the validated
-    base pass apply_solution's checks, else None.
-
-    A changed row is read only from its first changed cell lo to its
-    last one hi: its moves before step lo - 1 and after step hi are
-    base's, and the window between them is stepped again. Timesteps lo
-    to hi are checked for collisions, a superset of the changed ones.
-    Rows whose record is base's keep base's move lists.
-    """
+def _restep_if_changes_kept_feasible(result: Schedule, base: Schedule) -> dict[int, list[int]] | None:
+    """The move steps of result's rows whose path differs from the
+    validated base, keyed by agent, if the cells that differ pass
+    apply_solution's checks, else None. The columns checked run from
+    each changed row's first changed cell to its last, a superset of
+    the changed ones."""
     if result.horizon != base.horizon or len(result.agents) != len(base.agents):
         return None
     T = base.horizon
-    moves: list[list[int]] = []
+    restepped: dict[int, list[int]] = {}
     checked = bytearray(T + 1)  # 1 at each timestep whose column is checked
     ones = b"\x01" * (T + 1)
-    for ag, before, steps in zip(result.agents, base.agents, base_moves):
-        if ag is not before:
-            if ag.start != before.start or ag.goal != before.goal:
-                return None
-            q, p = ag.path, before.path
-            if q != p:
-                lo = next(compress(count(), map(ne, p, q)))
-                hi = next(compress(count(T, -1), map(ne, reversed(p), reversed(q))))
-                if lo == 0 or hi == T:
-                    return None
-                window = q[lo - 1 : hi + 2]
-                inner = list(compress(count(lo - 1), map(ne, window, window[1:])))
-                # both cells of each move are unchanged: no changed cell is next to a move
-                ends = [*inner, *map((1).__add__, inner)]
-                if list(map(q.__getitem__, ends)) != list(map(p.__getitem__, ends)):
-                    return None
-                steps = [*steps[: bisect_left(steps, lo - 1)], *inner, *steps[bisect_right(steps, hi) :]]
-                checked[lo : hi + 1] = ones[lo : hi + 1]
-        moves.append(steps)
+    for i, (ag, before) in enumerate(zip(result.agents, base.agents)):
+        if ag is before:
+            continue
+        if ag.start != before.start or ag.goal != before.goal:
+            return None
+        q, p = ag.path, before.path
+        if q == p:
+            continue
+        lo = next(compress(count(), map(ne, p, q)))
+        hi = next(compress(count(T, -1), map(ne, reversed(p), reversed(q))))
+        if lo == 0 or hi == T:
+            return None
+        steps = move_steps(q)
+        # both cells of each move are unchanged: no changed cell is next to a move
+        ends = [*steps, *map((1).__add__, steps)]
+        if list(map(q.__getitem__, ends)) != list(map(p.__getitem__, ends)):
+            return None
+        checked[lo : hi + 1] = ones[lo : hi + 1]
+        restepped[i] = steps
     n = len(result.agents)
     columns = compress(zip(*(ag.path for ag in result.agents)), checked)
     if not all(map(n.__eq__, map(len, map(set, columns)))):
         return None
-    return tuple(moves)
+    return restepped

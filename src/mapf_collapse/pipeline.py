@@ -9,10 +9,11 @@ prefilter's removals are part of the saving.
 
 Each path's move steps are found once per call, by the input's
 validation, and every stage reads them: the move counts and settle
-times, the prefilter's triples, the constant runs that candidates and
-stays come from, and apply_solution's check, which reads the output's
-moves off the input's. Only the paths the prefilter rewrites or the
-selection changes are stepped again. Nothing is kept on the caller's
+times, the prefilter's triples, and the constant runs that candidates
+and stays come from. Past candidate generation only each path's move
+count and last move step are kept. Only the paths that differ from the
+input are stepped again: the prefilter's rewrites, and the output's
+rows in apply_solution's check. Nothing is kept on the caller's
 schedule.
 """
 
@@ -91,7 +92,12 @@ def optimize_schedule(
         raise InfeasibleInputError(report)
 
     moves = report.moves
-    cost_before = sum(map(len, moves))
+    # of the input's moves only these are kept past candidate generation:
+    # each path's count, for apply_solution's saving check, and its last
+    # step, all soc_from_moves reads, for the output's settle times
+    counts = list(map(len, moves))
+    last_moves = [steps[-1:] for steps in moves]
+    cost_before = sum(counts)
     soc_before = soc_from_moves(schedule, moves)
     # also the output's: no stage changes a path's last cell, as the
     # prefilter rewrites steps 1..T-1 only and a collapse over [a, b]
@@ -111,10 +117,9 @@ def optimize_schedule(
 
     t_build = time.monotonic()
     runs = [path_runs(ag.path, steps) for ag, steps in zip(working.agents, moves)]
-    # nothing reads the working move lists past here, nor the runs past
-    # candidates: freed, the rewritten rows' lists and the runs are not
-    # held through the solve. The input's lists stay for apply's check.
-    del moves
+    # nothing reads the move lists past here, nor the runs past candidates:
+    # freed, they are not held through the solve and apply peaks
+    del report, moves
     cands = generate_candidates(working, runs=runs)
     del runs
     rel = build_relations(cands)
@@ -122,11 +127,13 @@ def optimize_schedule(
     build_time = time.monotonic() - t_build
 
     solution = solve_exact(model, config.time_limit_ms / 1000.0)
-    final, final_report = apply_solution(
-        working, cands, solution, graph, config.mode, cost=cost_working, validated=(schedule, report.moves)
+    final, restepped = apply_solution(
+        working, cands, solution, graph, config.mode, cost=cost_working, validated=(schedule, counts)
     )
-    del report
-    cost_after = sum(map(len, final_report.moves))
+    for i, steps in restepped.items():
+        last_moves[i] = steps
+    # apply_solution checked that the output lost exactly the claimed saving
+    cost_after = cost_working - solution.saving
 
     total_time = time.monotonic() - t_start
     stats = {
@@ -138,7 +145,7 @@ def optimize_schedule(
         "saving": cost_before - cost_after,
         "saving_ratio": (cost_before - cost_after) / cost_before if cost_before else 0.0,
         "soc_before": soc_before,
-        "soc_after": soc_from_moves(final, final_report.moves),
+        "soc_after": soc_from_moves(final, last_moves),
         "isr_before": isr_before,
         "isr_after": isr_before,
         "aba_passes": aba_passes,

@@ -87,9 +87,7 @@ class Violation:
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Violations found by validate. moves[i] lists agent i's move steps
-    (move_steps of its path); it is neither compared nor written out.
-    apply_solution also builds a feasible report, without violations,
-    for an output it checked against a validated input."""
+    (move_steps of its path); it is neither compared nor written out."""
 
     feasible: bool
     violations: tuple[Violation, ...]
@@ -206,7 +204,8 @@ def path_runs(path: tuple[str, ...], steps: list[int]) -> list[Run]:
 def soc_from_moves(schedule: Schedule, moves: Sequence[list[int]]) -> int:
     """soc(schedule) from each path's move steps: an agent that ends at
     its goal settled one step after its last move (at 0 if it never
-    moves); any other agent counts T."""
+    moves); any other agent counts T. Only each list's last step is
+    read, so lists cut to it (steps[-1:]) give the same sum."""
     T = schedule.horizon
     return sum(
         (steps[-1] + 1 if steps else 0) if ag.path[T] == ag.goal else T

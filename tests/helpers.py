@@ -491,10 +491,30 @@ def reference_validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> 
     return FeasibilityReport(not violations, tuple(violations))
 
 
-def reference_apply(schedule, candidates, solution, graph, mode=STRICT):
-    """apply_solution without the check against a validated input: the
+def changed_rows_steps(result, base):
+    """{agent: move steps} of result's rows whose path differs from
+    base's, stepped cell by cell."""
+    return {
+        i: [t for t in range(len(ag.path) - 1) if ag.path[t] != ag.path[t + 1]]
+        for i, (ag, before) in enumerate(zip(result.agents, base.agents))
+        if ag.path != before.path
+    }
+
+
+def validated_input(schedule, graph, mode=STRICT):
+    """apply_solution's validated argument for a feasible input: the
+    input and each of its paths' move count."""
+    report = validate(schedule, graph, mode)
+    assert report.feasible, report.violations
+    return schedule, list(map(len, report.moves))
+
+
+def reference_apply(schedule, candidates, solution, graph, mode=STRICT, *, validated):
+    """apply_solution without the check against the validated input: the
     selection collapsed, then the full validate and the saving check,
-    raising ConsistencyError with apply_solution's messages."""
+    raising ConsistencyError with apply_solution's messages. Returns the
+    result and the move steps of its rows whose path differs from the
+    validated input's, keyed by agent."""
     result = collapse_paths(schedule, candidates, solution.selected)
     report = validate(result, graph, mode)
     if not report.feasible:
@@ -506,7 +526,8 @@ def reference_apply(schedule, candidates, solution, graph, mode=STRICT):
         raise ConsistencyError(
             f"saving accounting mismatch: schedule lost {removed} moves, solver claimed {solution.saving}"
         )
-    return result, report
+    rows = zip(result.agents, validated[0].agents, report.moves)
+    return result, {i: steps for i, (ag, before, steps) in enumerate(rows) if ag.path != before.path}
 
 
 def reference_cost_moves(schedule: Schedule) -> int:

@@ -24,13 +24,13 @@ from mapf_collapse import ilp
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED
 from mapf_collapse.ilp import CollapseSolution, _Agent, _components, _owned
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
-from mapf_collapse.schedule import move_steps
 from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
     all_members_components,
     all_pairs_cross_exclusions,
+    changed_rows_steps,
     brute_force_model,
     crowded_schedules,
     dumped_pairs,
@@ -38,6 +38,8 @@ from helpers import (
     eager_mutex,
     pairwise_dominated,
     positive_exhaustive_count,
+    reference_apply,
+    validated_input,
     random_rollout_instance,
     reference_n_mutex,
     schedule_from_paths,
@@ -188,9 +190,10 @@ def test_greedy_respects_constraints_randomized():
         for owner, suitable in model.implications:
             if owner in sol.selected:
                 assert any(x in sol.selected for x in suitable)
-        applied, report = apply_solution(s, cands, sol, g, "relaxed")
+        checked = validated_input(s, g, "relaxed")
+        applied, restepped = apply_solution(s, cands, sol, g, "relaxed", validated=checked)
         assert cost_moves(applied) == cost_moves(s) - sol.saving
-        assert report.moves == tuple(move_steps(ag.path) for ag in applied.agents)
+        assert restepped == changed_rows_steps(applied, s)
 
 
 # ---------------------------------------------------------- apply_solution
@@ -200,7 +203,8 @@ def test_apply_solution_gadget_first_option():
     red, cands, model = gadget_pipeline()
     ids = {span: i for i, span in enumerate(cands.actions)}
     sol = CollapseSolution(frozenset({ids[(0, 0, 6)], ids[(2, 0, 4)]}), 6, True)
-    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict")
+    checked = validated_input(red.schedule, red.graph, "strict")
+    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict", validated=checked)
     assert out.agents[0].path == tuple(["x_u1"] * 7)
     assert out.agents[2].path == ("a_e1",) * 5 + ("x_u2", "b_e1")
     assert cost_moves(out) == 4
@@ -210,14 +214,15 @@ def test_apply_solution_gadget_first_option():
 def test_apply_solution_empty_selection():
     red, cands, _ = gadget_pipeline()
     sol = CollapseSolution(frozenset(), 0, True)
-    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict")
+    checked = validated_input(red.schedule, red.graph, "strict")
+    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict", validated=checked)
     assert out == red.schedule
 
 
 def test_apply_solution_mutual_oscillation_both():
     s, g, cands, model = mutual_oscillation()
     sol = solve_exact(model, 5.0)
-    out, _ = apply_solution(s, cands, sol, g, "relaxed")
+    out, _ = apply_solution(s, cands, sol, g, "relaxed", validated=validated_input(s, g, "relaxed"))
     assert out.agents[0].path == ("A", "A", "A")
     assert out.agents[1].path == ("C", "C", "C")
     assert cost_moves(out) == 0
@@ -225,37 +230,45 @@ def test_apply_solution_mutual_oscillation_both():
 
 def test_apply_solution_rejects_bad_selection():
     s, g, cands, _ = mutual_oscillation()
-    validated = (s, validate(s, g, "relaxed").moves)
+    checked = validated_input(s, g, "relaxed")
     for selected, saving, message in (
         # only the A-collapse parks agent 0 on the crossing vertex
         ({0}, 2, "infeasible, first violation: Violation(kind='vertex-collision'"),
         ({0, 1}, 3, "saving accounting mismatch: schedule lost 4 moves, solver claimed 3"),
     ):
         bad = CollapseSolution(frozenset(selected), saving, True)
+        # the selection fails the check against the validated input and
+        # goes through the full validate: the full path's error
+        with pytest.raises(ConsistencyError) as fast:
+            apply_solution(s, cands, bad, g, "relaxed", validated=checked)
+        assert message in str(fast.value)
         with pytest.raises(ConsistencyError) as full:
-            apply_solution(s, cands, bad, g, "relaxed")
-        assert message in str(full.value)
-        # checked against the validated input, the selection fails the
-        # check and goes through the full validate: the same error
-        with pytest.raises(ConsistencyError) as checked:
-            apply_solution(s, cands, bad, g, "relaxed", validated=validated)
-        assert str(checked.value) == str(full.value)
+            reference_apply(s, cands, bad, g, "relaxed", validated=checked)
+        assert str(fast.value) == str(full.value)
+
+
+def test_apply_solution_checks_starts_and_goals_against_the_input():
+    # a working schedule whose goal is not the validated input's goes
+    # through the full validate, which finds the goal violation
+    s, g, cands, _ = mutual_oscillation()
+    working = schedule_from_paths([ag.path for ag in s.agents], goals=["B", "C"])
+    nothing = CollapseSolution(frozenset(), 0, True)
+    with pytest.raises(ConsistencyError, match="kind='goal-stop', agents=\\(0,\\)"):
+        apply_solution(working, cands, nothing, g, "strict", validated=validated_input(s, g, "strict"))
 
 
 def test_checked_apply_does_not_run_the_full_validate(monkeypatch):
     s, g, cands, model = mutual_oscillation()
     sol = solve_exact(model, 5.0)
-    full, full_report = apply_solution(s, cands, sol, g, "relaxed")
-    validated = (s, validate(s, g, "relaxed").moves)
+    checked = validated_input(s, g, "relaxed")
+    expected = reference_apply(s, cands, sol, g, "relaxed", validated=checked)
 
     def refuse(*args):
         raise AssertionError("the full validate ran")
 
     monkeypatch.setattr(ilp, "validate", refuse)
-    out, report = apply_solution(s, cands, sol, g, "relaxed", validated=validated)
-    assert out == full
-    assert report == full_report
-    assert report.moves == full_report.moves == ([], [])
+    assert apply_solution(s, cands, sol, g, "relaxed", validated=checked) == expected
+    assert expected[1] == {0: [], 1: []}
 
 
 # ---------------------------------------------------------------- properties
@@ -276,7 +289,7 @@ def test_exactness_against_oracle_quick():
         assert sol.saving == oracle.best_saving
         greedy = solve_greedy(model)
         assert sol.saving >= greedy.saving
-        applied, _ = apply_solution(s, cands, sol, g, "relaxed")
+        applied, _ = apply_solution(s, cands, sol, g, "relaxed", validated=validated_input(s, g, "relaxed"))
         assert validate(applied, g, "relaxed").feasible
         assert cost_moves(applied) <= cost_moves(s)
         checked += 1
@@ -391,9 +404,10 @@ def test_span_model_optimum_matches_brute_force_with_cross_pairs():
         assert sol.saving == brute_force_model(model, rel.exclusions_cross) == brute_force_model(model)
         assert_feasible(model, sol.selected)
         assert not any(a in sol.selected and b in sol.selected for a, b in rel.exclusions_cross)
-        applied, report = apply_solution(s, cands, sol, g, "relaxed")
+        checked = validated_input(s, g, "relaxed")
+        applied, restepped = apply_solution(s, cands, sol, g, "relaxed", validated=checked)
         assert cost_moves(applied) == cost_moves(s) - sol.saving
-        assert report.moves == tuple(move_steps(ag.path) for ag in applied.agents)
+        assert restepped == changed_rows_steps(applied, s)
 
 
 def disjoint_copies(model, k):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mapf_collapse import ConsistencyError, Graph, InfeasibleInputError, cost_moves, validate
+from mapf_collapse import ConsistencyError, Graph, InfeasibleInputError, cost_moves, soc, validate
 from mapf_collapse import pipeline
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule, strip_timing
 from mapf_collapse.reduction import reduce_independent_set
@@ -82,6 +82,22 @@ def test_saving_accounting_includes_filter():
         assert st["cost_before"] - st["cost_after"] == st["saving"]
         assert cost_moves(result.schedule) == st["cost_after"]
         assert validate(result.schedule, g, "relaxed").feasible
+
+
+def test_output_stats_equal_the_output_counted_from_its_paths():
+    """cost_after and soc_after come from the input's moves and the rows
+    apply_solution steps again; they are the output's, counted from its
+    paths, with the prefilter on and off."""
+    rng = random.Random(109)
+    for _ in range(20):
+        rollout, g, _ = random_rollout_instance(rng, noise=0.6, horizon=12)
+        # each last cell is the goal: settle times fall when a collapse
+        # removes a path's last move
+        s = schedule_from_paths([ag.path for ag in rollout.agents])
+        for aba_filter in (True, False):
+            result = optimize_schedule(s, g, OptimizeConfig(mode="relaxed", aba_filter=aba_filter))
+            assert result.stats["cost_after"] == cost_moves(result.schedule)
+            assert result.stats["soc_after"] == soc(result.schedule)
 
 
 def test_stats_deterministic_modulo_timing():

@@ -302,10 +302,10 @@ def test_candidate_columns_match_per_cell_scan(schedule, mode):
 
 @st.composite
 def selections_on_rollouts(draw):
-    """(input, graph, mode, input moves, working, candidates, solution):
-    a rollout made feasible in either mode by taking each last cell as
-    the goal, then itself or its prefiltered rewrite as the working
-    schedule. Its reduced candidates plus up to two pairs of touching
+    """(input, graph, mode, input move counts, working, candidates,
+    solution): a rollout made feasible in either mode by taking each
+    last cell as the goal, then itself or its prefiltered rewrite as the
+    working schedule. Its reduced candidates plus up to two pairs of touching
     spans a..m..b of one agent, each collapsing onto the vertex at a, m
     or b, so a pair may meet at two vertices and a span may rewrite the
     first or the last cell. The solver is bypassed: any nonempty set
@@ -337,27 +337,22 @@ def selections_on_rollouts(draw):
     selected = frozenset(draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)) if rows else ())
     true = cost_moves(working) - cost_moves(collapse_paths(working, cands, selected))
     saving = draw(st.sampled_from([true, sum(weights[i] for i in selected), true - 1, true + 1]))
-    return schedule, graph, mode, moves, working, cands, CollapseSolution(selected, saving, optimal=False)
+    counts = list(map(len, moves))
+    return schedule, graph, mode, counts, working, cands, CollapseSolution(selected, saving, optimal=False)
 
 
 @settings(deadline=None, max_examples=400, derandomize=True)
 @given(case=selections_on_rollouts())
 def test_checked_apply_matches_full_validation(case):
-    schedule, graph, mode, moves, working, cands, solution = case
+    schedule, graph, mode, counts, working, cands, solution = case
 
     def outcome(apply):
         try:
-            result, report = apply()
+            return apply(working, cands, solution, graph, mode, validated=(schedule, counts))
         except ConsistencyError as exc:
             return str(exc)
-        return result, report, report.moves
 
-    checked = outcome(
-        lambda: pipeline.apply_solution(
-            working, cands, solution, graph, mode, cost=cost_moves(working), validated=(schedule, moves)
-        )
-    )
-    assert checked == outcome(lambda: reference_apply(working, cands, solution, graph, mode))
+    assert outcome(pipeline.apply_solution) == outcome(reference_apply)
 
 
 @st.composite
