@@ -468,10 +468,10 @@ def apply_solution(
     validate in mode, and each of its paths' move count. Returns the
     result and the move steps of each of its rows whose path differs
     from the input's, keyed by agent; every other row's moves are the
-    input's. cost is the schedule's move count,
-    counted from its paths when not given. A failed check or a saving
-    mismatch here means the relation builder or solver violated its
-    contract, so it raises instead of returning a bad schedule.
+    input's. cost is the schedule's move count, counted from its paths
+    when not given. A failed check or a saving mismatch here means the
+    relation builder or solver violated its contract, so it raises
+    instead of returning a bad schedule.
 
     Only the result's cells that differ from the input are checked. For
     every row whose path differs from the input's:
