@@ -121,7 +121,8 @@ def collapse_paths(schedule: Schedule, candidates: CandidateSet, selection) -> S
 def aba_prefilter_detailed(
     schedule: Schedule,
     max_passes: int = ABA_DEFAULT_MAX_PASSES,
-    moves: Sequence[list[int]] | None = None,
+    *,
+    moves: Sequence[list[int]],
 ) -> tuple[Schedule, int]:
     """Rewrite A,B,A position triples to A,A,A where no collision results.
 
@@ -134,18 +135,17 @@ def aba_prefilter_detailed(
     path is not rewritten keep their AgentRecord.
 
     A triple is two consecutive moves s, s + 1 of one agent with
-    path[s] == path[s + 2], found from the move steps (moves[i] may give
-    agent i's, as in validate's report). A rewrite makes its cell equal
-    to both neighbours, so it never creates a triple: each pass re-checks
-    only the triples left from the pass before, in the same order a scan
-    over every cell would meet them. The occupants at a timestep are one
-    list over all agents, built when a triple there is first checked;
-    cells at a timestep change only by a rewrite there, after that list
-    exists, so it is kept current by writing each rewrite into it.
+    path[s] == path[s + 2], found from the move steps: moves[i] is agent
+    i's (move_steps of its path, as in validate's report). A rewrite
+    makes its cell equal to both neighbours, so it never creates a
+    triple: each pass re-checks only the triples left from the pass
+    before, in the same order a scan over every cell would meet them.
+    The occupants at a timestep are one list over all agents, built when
+    a triple there is first checked; cells at a timestep change only by
+    a rewrite there, after that list exists, so it is kept current by
+    writing each rewrite into it.
     """
     agents = schedule.agents
-    if moves is None:
-        moves = [move_steps(ag.path) for ag in agents]
     # per agent with a triple: (index, path as a list, middle steps of its triples)
     pending: list[tuple[int, list[str], list[int]]] = []
     for i, (ag, steps) in enumerate(zip(agents, moves)):

@@ -2,8 +2,8 @@
 
 Vertices are opaque string tokens; grid cells use the canonical form
 "r<row>c<col>" so grid and abstract pipelines share one vertex type.
-Waiting is always allowed: ``has_edge(u, u)`` is true for every vertex
-even though no self-loop edges are stored.
+Waiting is implicit: a vertex may always follow itself in a path, and
+no self-loop edges are stored.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ def parse_cell(name: str) -> Coord | None:
     """Return (row, col) for a canonical grid vertex name, else None.
 
     Only names that cell_name writes parse: ASCII digits without leading
-    zeros and nothing after them, so no two names read as one cell.
+    zeros and nothing after them, so no two names read as one cell, and
+    no more digits than Python converts between int and str.
     """
     m = _CELL_RE.fullmatch(name)
     if m is None:
         return None
-    row, col = m.groups()
-    return int(row), int(col)
+    try:
+        return int(m[1]), int(m[2])
+    except ValueError:  # over the int-string digit limit
+        return None
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,8 @@ class Graph:
     round-trips depend on it). Edges are stored once per unordered pair,
     in the orientation they were first given. Each vertex name is held
     as one string object, which every edge endpoint and adjacency set
-    shares; the adjacency answers membership, has_edge, == and hash.
+    shares; the adjacency answers membership, neighbours, == and hash.
+    Waiting is implicit: no self-loop is stored or accepted.
     """
 
     __slots__ = ("_vertices", "_edges", "_adj")
@@ -180,19 +184,6 @@ class Graph:
         not listed). Unlike neighbors(), a lookup does not check the
         vertex: ``v in graph.adjacency`` is the membership test."""
         return MappingProxyType(self._adj)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        """True iff u == v (implicit wait) or {u, v} is an edge."""
-        self.require(u)
-        self.require(v)
-        return u == v or v in self._adj[u]
-
-    def bfs_distances(self, source: str) -> dict[str, int]:
-        """Hop distance from source to every reachable vertex: a
-        LazyDistances labelling the whole component."""
-        lazy = LazyDistances(self, source)
-        lazy.label_until(None)
-        return lazy.dist
 
     def to_json_dict(self) -> dict:
         return {"vertices": list(self._vertices), "edges": [[u, v] for u, v in self._edges]}

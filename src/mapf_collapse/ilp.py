@@ -51,7 +51,7 @@ from .candidates import CandidateSet, Span, collapse_paths
 from .errors import ConsistencyError
 from .graph import Graph
 from .relations import RelationSet, intersecting_pairs
-from .schedule import Schedule, cost_moves, move_steps, validate
+from .schedule import Schedule, move_steps, validate
 
 
 @dataclass(frozen=True)
@@ -392,7 +392,7 @@ def _solve_component(
     return best, proved, nodes, best_saving if proved else root_bound, overlaps
 
 
-def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolution:
+def solve_exact(model: IlpModel, time_limit: float | None) -> CollapseSolution:
     """Exact solve, component by component; anytime under a time limit.
 
     The components run in (size, smallest variable) order under one
@@ -403,8 +403,8 @@ def solve_exact(model: IlpModel, time_limit: float | None = 5.0) -> CollapseSolu
     is True iff every component was proved; upper_bound adds up each
     component's proved optimum or root bound. n_mutex adds up the
     same-agent overlaps that each agent's interval DP counts from its
-    spans. Deterministic: fixed component and variable order,
-    first-found tie-breaking.
+    spans. time_limit is in seconds, None for no limit. Deterministic:
+    fixed component and variable order, first-found tie-breaking.
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
@@ -456,9 +456,9 @@ def apply_solution(
     candidates: CandidateSet,
     solution: CollapseSolution,
     graph: Graph,
-    mode: str = "strict",
-    cost: int | None = None,
+    mode: str,
     *,
+    cost: int,
     validated: tuple[Schedule, Sequence[int]],
 ) -> tuple[Schedule, dict[int, list[int]]]:
     """Apply the selected collapses and check the result.
@@ -468,10 +468,10 @@ def apply_solution(
     validate in mode, and each of its paths' move count. Returns the
     result and the move steps of each of its rows whose path differs
     from the input's, keyed by agent; every other row's moves are the
-    input's. cost is the schedule's move count, counted from its paths
-    when not given. A failed check or a saving mismatch here means the
-    relation builder or solver violated its contract, so it raises
-    instead of returning a bad schedule.
+    input's. cost is schedule's move count, as the caller counted it. A
+    failed check or a saving mismatch here means the relation builder or
+    solver violated its contract, so it raises instead of returning a
+    bad schedule.
 
     Only the result's cells that differ from the input are checked. For
     every row whose path differs from the input's:
@@ -491,8 +491,6 @@ def apply_solution(
     one a full validation gives.
     """
     result = collapse_paths(schedule, candidates, solution.selected)
-    if cost is None:
-        cost = cost_moves(schedule)
     base, counts = validated
     restepped = _restep_if_changes_kept_feasible(result, base)
     if restepped is not None:

@@ -109,18 +109,22 @@ def brute_force_over(
             best_saving = saving
             best_selection = tuple(chosen)
 
-    def recurse(pos: int) -> None:
-        if pos == len(positive):
-            evaluate()
-            return
-        idx = positive[pos]
-        if compatible(idx):
-            chosen.append(idx)
-            recurse(pos + 1)
+    # depth-first over include/exclude per positive candidate, include
+    # first, on an explicit stack so that deep searches need no recursion:
+    # an entry pos >= 0 visits positive[pos:], and -1 drops the last chosen
+    stack = [0]
+    while stack:
+        pos = stack.pop()
+        if pos < 0:
             chosen.pop()
-        recurse(pos + 1)
-
-    recurse(0)
+        elif pos == len(positive):
+            evaluate()
+        else:
+            stack.append(pos + 1)
+            idx = positive[pos]
+            if compatible(idx):
+                chosen.append(idx)
+                stack += (-1, pos + 1)
     return OracleResult(best_saving, best_selection, enumerated)
 
 

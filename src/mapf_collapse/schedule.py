@@ -391,11 +391,7 @@ def instance_from_json_dict(data: dict, base_dir: str = ".") -> Instance:
             raise InstanceFormatError(
                 f"agent #{idx} path length {len(path)} does not match horizon {horizon}"
             )
-    try:
-        schedule = Schedule(tuple(agents), horizon)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
-    return Instance(graph, schedule, grid, map_name)
+    return Instance(graph, Schedule(tuple(agents), horizon), grid, map_name)
 
 
 def read_map_file(path: str) -> GridMap:

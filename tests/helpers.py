@@ -18,7 +18,6 @@ from mapf_collapse import (
     Schedule,
     UnknownVertexError,
     UnsupportedScheduleError,
-    cost_moves,
     grid_to_graph,
     noisy_rollout,
     validate,
@@ -439,11 +438,12 @@ def reference_validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> 
     """
     _check_mode(mode)
     T = schedule.horizon
+    ref = ReferenceGraph(graph.vertices, graph.edges)
     for ag in schedule.agents:
-        graph.require(ag.start)
-        graph.require(ag.goal)
+        ref.require(ag.start)
+        ref.require(ag.goal)
         for v in ag.path:
-            graph.require(v)
+            ref.require(v)
 
     violations: list[Violation] = []
     for i, ag in enumerate(schedule.agents):
@@ -452,7 +452,7 @@ def reference_validate(schedule: Schedule, graph: Graph, mode: str = STRICT) -> 
         if mode == STRICT and ag.path[T] != ag.goal:
             violations.append(Violation("goal-stop", (i,), T))
         for t in range(T):
-            if not graph.has_edge(ag.path[t], ag.path[t + 1]):
+            if not ref.has_edge(ag.path[t], ag.path[t + 1]):
                 violations.append(Violation("disconnected-step", (i,), t))
 
     for t in range(T + 1):
@@ -509,25 +509,31 @@ def validated_input(schedule, graph, mode=STRICT):
     return schedule, list(map(len, report.moves))
 
 
-def reference_apply(schedule, candidates, solution, graph, mode=STRICT, *, validated):
+def reference_apply(schedule, candidates, solution, graph, mode, *, cost, validated):
     """apply_solution without the check against the validated input: the
-    selection collapsed, then the full validate and the saving check,
-    raising ConsistencyError with apply_solution's messages. Returns the
-    result and the move steps of its rows whose path differs from the
-    validated input's, keyed by agent."""
+    selection collapsed, then the full validate and the saving check
+    against cost, raising ConsistencyError with apply_solution's
+    messages. Returns the result and the move steps of its rows whose
+    path differs from the validated input's, keyed by agent."""
     result = collapse_paths(schedule, candidates, solution.selected)
     report = validate(result, graph, mode)
     if not report.feasible:
         raise ConsistencyError(
             f"applied solution is infeasible, first violation: {report.violations[0]}"
         )
-    removed = cost_moves(schedule) - sum(map(len, report.moves))
+    removed = cost - sum(map(len, report.moves))
     if removed != solution.saving:
         raise ConsistencyError(
             f"saving accounting mismatch: schedule lost {removed} moves, solver claimed {solution.saving}"
         )
     rows = zip(result.agents, validated[0].agents, report.moves)
     return result, {i: steps for i, (ag, before, steps) in enumerate(rows) if ag.path != before.path}
+
+
+def reference_moves(schedule: Schedule) -> list[list[int]]:
+    """Each path's move steps, stepped cell by cell: the moves argument
+    of aba_prefilter_detailed."""
+    return [[t for t in range(len(p) - 1) if p[t] != p[t + 1]] for p in (ag.path for ag in schedule.agents)]
 
 
 def reference_cost_moves(schedule: Schedule) -> int:
@@ -681,7 +687,7 @@ def reference_agent_density(schedule: Schedule, grid: GridMap, fov: int = 11) ->
 def reference_bfs_distances(g: Graph, source: str) -> dict[str, int]:
     """Hop distance from source to every vertex of its component, by a
     full breadth-first search over g.neighbors: the reference for
-    Graph.bfs_distances and LazyDistances."""
+    LazyDistances."""
     dist = {source: 0}
     frontier = [source]
     while frontier:

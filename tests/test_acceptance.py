@@ -33,7 +33,7 @@ from mapf_collapse.cli import main
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule, strip_timing
 from mapf_collapse.reduction import optimal_collapsed_cost, reduce_independent_set
 
-from helpers import random_rollout_instance, schedule_from_paths, single_edge_graph
+from helpers import random_rollout_instance, reference_moves, schedule_from_paths, single_edge_graph
 
 
 def report(n, label, ok, detail=""):
@@ -422,7 +422,7 @@ def test_9_aba_filter_safety_500():
             horizon=rng.randint(8, 12),
             noise=noise,
         )
-        filtered, _ = aba_prefilter_detailed(s)
+        filtered, _ = aba_prefilter_detailed(s, moves=reference_moves(s))
         assert validate(filtered, g, "relaxed").feasible
         assert cost_moves(filtered) <= cost_moves(s)
         res_on = optimize_schedule(s, g, on)

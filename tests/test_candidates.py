@@ -20,6 +20,7 @@ from helpers import (
     crowded_schedules,
     random_rollout_instance,
     reference_aba_prefilter,
+    reference_moves,
     schedule_from_paths,
     single_edge_graph,
 )
@@ -148,7 +149,7 @@ def test_invalid_mode_rejected():
 
 def test_aba_oscillation_smoothed():
     s = schedule_from_paths([["A", "B", "A", "B", "A"]])
-    filtered, passes = aba_prefilter_detailed(s)
+    filtered, passes = aba_prefilter_detailed(s, moves=reference_moves(s))
     assert filtered.agents[0].path == ("A", "A", "A", "A", "A")
     assert cost_moves(s) - cost_moves(filtered) == 4
     assert passes == 2  # one rewriting pass plus the fixpoint check
@@ -157,7 +158,7 @@ def test_aba_oscillation_smoothed():
 def test_aba_blocked_by_occupant():
     # the blocker passes through A without an ABA pattern of its own
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
-    filtered = aba_prefilter_detailed(s)[0]
+    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))[0]
     assert filtered.agents[0].path == ("A", "B", "A")
     assert filtered.agents[1].path == ("C", "A", "D")
 
@@ -165,7 +166,7 @@ def test_aba_blocked_by_occupant():
 def test_aba_rewrite_unblocks_neighbor():
     # removing the second agent's own oscillation frees A for the first
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "C"]])
-    filtered = aba_prefilter_detailed(s)[0]
+    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))[0]
     assert filtered.agents[0].path == ("A", "A", "A")
     assert filtered.agents[1].path == ("C", "C", "C")
 
@@ -175,7 +176,7 @@ def test_aba_triple_removed_by_a_later_rewrite_stays_removed():
     # step 2 turns it into A,B,B; once the blocker leaves A in pass 1, it
     # must not be rewritten in pass 2
     s = schedule_from_paths([["A", "B", "A", "B"], ["C", "A", "C", "C"]])
-    filtered, passes = aba_prefilter_detailed(s)
+    filtered, passes = aba_prefilter_detailed(s, moves=reference_moves(s))
     assert filtered.agents[0].path == ("A", "B", "B", "B")
     assert filtered.agents[1].path == ("C", "C", "C", "C")
     assert passes == 2
@@ -185,15 +186,15 @@ def test_aba_triple_removed_by_a_later_rewrite_stays_removed():
 
 def test_aba_constant_path_unchanged():
     s = schedule_from_paths([["A", "A", "A"]])
-    assert aba_prefilter_detailed(s)[0].agents[0].path == ("A", "A", "A")
+    assert aba_prefilter_detailed(s, moves=reference_moves(s))[0].agents[0].path == ("A", "A", "A")
 
 
 def test_aba_respects_pass_cap():
     path = ["v0", "v1"] * 8 + ["v0"]
     s = schedule_from_paths([path])
-    capped, passes = aba_prefilter_detailed(s, max_passes=1)
+    capped, passes = aba_prefilter_detailed(s, max_passes=1, moves=reference_moves(s))
     assert passes == 1
-    full, _ = aba_prefilter_detailed(s)
+    full, _ = aba_prefilter_detailed(s, moves=reference_moves(s))
     assert cost_moves(full) <= cost_moves(capped)
 
 
@@ -203,7 +204,7 @@ def test_aba_never_increases_cost_and_stays_valid():
         s, g, _ = random_rollout_instance(rng, noise=0.6)
         report = validate(s, g, "relaxed")
         assert report.feasible
-        filtered = aba_prefilter_detailed(s)[0]
+        filtered = aba_prefilter_detailed(s, moves=report.moves)[0]
         assert cost_moves(filtered) <= cost_moves(s)
         assert validate(filtered, g, "relaxed").feasible
 
@@ -214,5 +215,5 @@ def test_aba_preserves_strict_feasibility():
         s, g, _ = random_rollout_instance(rng, noise=0.4, horizon=16)
         if not validate(s, g, "strict").feasible:
             continue
-        filtered = aba_prefilter_detailed(s)[0]
+        filtered = aba_prefilter_detailed(s, moves=reference_moves(s))[0]
         assert validate(filtered, g, "strict").feasible

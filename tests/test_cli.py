@@ -308,6 +308,25 @@ def test_oracle_negative_cap_exit_1(gadget_instance, capsys):
     assert "cap must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["strict", "relaxed"])
+def test_oracle_searches_deeper_than_the_recursion_limit(tmp_path, capsys, mode):
+    # one agent walks x0..x1199 to M and back on a path graph: 1,200 nested
+    # candidates, no two compatible, so 1,200 decisions deep and 1,201 leaves
+    xs = [f"x{k}" for k in range(1200)]
+    vertices = xs + ["M"]
+    path = xs + ["M"] + xs[::-1]
+    data = {
+        "graph": {"vertices": vertices, "edges": [[u, v] for u, v in zip(vertices, vertices[1:])]},
+        "horizon": len(path) - 1,
+        "agents": [{"name": "a0", "start": "x0", "goal": "x0", "path": path}],
+    }
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(data))
+    code, out = run(capsys, "oracle", str(nested), "--mode", mode, "--cap", "5000")
+    assert code == 0
+    assert json.loads(out) == {"best_saving": 2400, "best_selection": [0], "enumerated": 1201}
+
+
 def test_reduce_single_edge(tmp_path, capsys):
     gpath = tmp_path / "h.json"
     gpath.write_text(json.dumps({"vertices": ["u1", "u2"], "edges": [["u1", "u2"]]}))
@@ -540,6 +559,23 @@ def test_aliased_cell_names_load_without_a_grid(tmp_path, capsys):
     assert code == 0 and json.loads(out)["errors"] == 0
     (row,) = read_rows(out_csv)
     assert row["agent_density"] == ""
+
+
+def test_cell_name_over_the_int_digit_limit_loads_without_a_grid(tmp_path, capsys):
+    # a canonical-looking name with more digits than int() reads from a str
+    agent = {"name": "a0", "start": "r0c0", "goal": "r0c0", "path": ["r0c0", "r0c0"]}
+    data = {"graph": {"vertices": ["r0c0", "r" + "1" * 5000 + "c0"], "edges": []}, "horizon": 1, "agents": [agent]}
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    path = bench_dir / "long.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 0 and json.loads(out)["feasible"] is True
+    out_csv = str(tmp_path / "long.csv")
+    code, out = run(capsys, "bench", str(bench_dir), "--out", out_csv)
+    assert code == 0 and json.loads(out)["errors"] == 0
+    (row,) = read_rows(out_csv)
+    assert row["error"] == "" and row["agent_density"] == ""
 
 
 def strip_timing_columns(path):

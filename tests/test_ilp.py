@@ -191,7 +191,7 @@ def test_greedy_respects_constraints_randomized():
             if owner in sol.selected:
                 assert any(x in sol.selected for x in suitable)
         checked = validated_input(s, g, "relaxed")
-        applied, restepped = apply_solution(s, cands, sol, g, "relaxed", validated=checked)
+        applied, restepped = apply_solution(s, cands, sol, g, "relaxed", cost=cost_moves(s), validated=checked)
         assert cost_moves(applied) == cost_moves(s) - sol.saving
         assert restepped == changed_rows_steps(applied, s)
 
@@ -203,8 +203,9 @@ def test_apply_solution_gadget_first_option():
     red, cands, model = gadget_pipeline()
     ids = {span: i for i, span in enumerate(cands.actions)}
     sol = CollapseSolution(frozenset({ids[(0, 0, 6)], ids[(2, 0, 4)]}), 6, True)
-    checked = validated_input(red.schedule, red.graph, "strict")
-    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict", validated=checked)
+    s = red.schedule
+    checked = validated_input(s, red.graph, "strict")
+    out, _ = apply_solution(s, cands, sol, red.graph, "strict", cost=cost_moves(s), validated=checked)
     assert out.agents[0].path == tuple(["x_u1"] * 7)
     assert out.agents[2].path == ("a_e1",) * 5 + ("x_u2", "b_e1")
     assert cost_moves(out) == 4
@@ -214,15 +215,17 @@ def test_apply_solution_gadget_first_option():
 def test_apply_solution_empty_selection():
     red, cands, _ = gadget_pipeline()
     sol = CollapseSolution(frozenset(), 0, True)
-    checked = validated_input(red.schedule, red.graph, "strict")
-    out, _ = apply_solution(red.schedule, cands, sol, red.graph, "strict", validated=checked)
+    s = red.schedule
+    checked = validated_input(s, red.graph, "strict")
+    out, _ = apply_solution(s, cands, sol, red.graph, "strict", cost=cost_moves(s), validated=checked)
     assert out == red.schedule
 
 
 def test_apply_solution_mutual_oscillation_both():
     s, g, cands, model = mutual_oscillation()
     sol = solve_exact(model, 5.0)
-    out, _ = apply_solution(s, cands, sol, g, "relaxed", validated=validated_input(s, g, "relaxed"))
+    checked = validated_input(s, g, "relaxed")
+    out, _ = apply_solution(s, cands, sol, g, "relaxed", cost=cost_moves(s), validated=checked)
     assert out.agents[0].path == ("A", "A", "A")
     assert out.agents[1].path == ("C", "C", "C")
     assert cost_moves(out) == 0
@@ -240,10 +243,10 @@ def test_apply_solution_rejects_bad_selection():
         # the selection fails the check against the validated input and
         # goes through the full validate: the full path's error
         with pytest.raises(ConsistencyError) as fast:
-            apply_solution(s, cands, bad, g, "relaxed", validated=checked)
+            apply_solution(s, cands, bad, g, "relaxed", cost=cost_moves(s), validated=checked)
         assert message in str(fast.value)
         with pytest.raises(ConsistencyError) as full:
-            reference_apply(s, cands, bad, g, "relaxed", validated=checked)
+            reference_apply(s, cands, bad, g, "relaxed", cost=cost_moves(s), validated=checked)
         assert str(fast.value) == str(full.value)
 
 
@@ -253,21 +256,22 @@ def test_apply_solution_checks_starts_and_goals_against_the_input():
     s, g, cands, _ = mutual_oscillation()
     working = schedule_from_paths([ag.path for ag in s.agents], goals=["B", "C"])
     nothing = CollapseSolution(frozenset(), 0, True)
+    checked = validated_input(s, g, "strict")
     with pytest.raises(ConsistencyError, match="kind='goal-stop', agents=\\(0,\\)"):
-        apply_solution(working, cands, nothing, g, "strict", validated=validated_input(s, g, "strict"))
+        apply_solution(working, cands, nothing, g, "strict", cost=cost_moves(working), validated=checked)
 
 
 def test_checked_apply_does_not_run_the_full_validate(monkeypatch):
     s, g, cands, model = mutual_oscillation()
     sol = solve_exact(model, 5.0)
     checked = validated_input(s, g, "relaxed")
-    expected = reference_apply(s, cands, sol, g, "relaxed", validated=checked)
+    expected = reference_apply(s, cands, sol, g, "relaxed", cost=cost_moves(s), validated=checked)
 
     def refuse(*args):
         raise AssertionError("the full validate ran")
 
     monkeypatch.setattr(ilp, "validate", refuse)
-    assert apply_solution(s, cands, sol, g, "relaxed", validated=checked) == expected
+    assert apply_solution(s, cands, sol, g, "relaxed", cost=cost_moves(s), validated=checked) == expected
     assert expected[1] == {0: [], 1: []}
 
 
@@ -289,7 +293,8 @@ def test_exactness_against_oracle_quick():
         assert sol.saving == oracle.best_saving
         greedy = solve_greedy(model)
         assert sol.saving >= greedy.saving
-        applied, _ = apply_solution(s, cands, sol, g, "relaxed", validated=validated_input(s, g, "relaxed"))
+        validated = validated_input(s, g, "relaxed")
+        applied, _ = apply_solution(s, cands, sol, g, "relaxed", cost=cost_moves(s), validated=validated)
         assert validate(applied, g, "relaxed").feasible
         assert cost_moves(applied) <= cost_moves(s)
         checked += 1
@@ -405,7 +410,7 @@ def test_span_model_optimum_matches_brute_force_with_cross_pairs():
         assert_feasible(model, sol.selected)
         assert not any(a in sol.selected and b in sol.selected for a, b in rel.exclusions_cross)
         checked = validated_input(s, g, "relaxed")
-        applied, restepped = apply_solution(s, cands, sol, g, "relaxed", validated=checked)
+        applied, restepped = apply_solution(s, cands, sol, g, "relaxed", cost=cost_moves(s), validated=checked)
         assert cost_moves(applied) == cost_moves(s) - sol.saving
         assert restepped == changed_rows_steps(applied, s)
 

@@ -136,7 +136,7 @@ def test_apply_check_is_anchored_on_the_input(monkeypatch):
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
     assert validate(s, g).feasible
 
-    def colliding_prefilter(schedule, moves=None):
+    def colliding_prefilter(schedule, *, moves):
         # parks agent 0 on A at step 1, where agent 1 is
         return schedule.with_paths({0: ("A", "A", "A")}), 1
 

@@ -17,7 +17,7 @@ from mapf_collapse import (
 )
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 
-from helpers import reference_noisy_rollout, reference_prioritized_plan
+from helpers import reference_bfs_distances, reference_noisy_rollout, reference_prioritized_plan
 
 
 def empty_graph(size):
@@ -91,7 +91,7 @@ def test_rollout_seed7_regime():
     req = PlanRequest(g, starts, goals, horizon=48, seed=7, noise=0.4)
     s = noisy_rollout(req)
     assert validate(s, g, "relaxed").feasible
-    bfs_sum = sum(g.bfs_distances(a.start)[a.goal] for a in s.agents)
+    bfs_sum = sum(reference_bfs_distances(g, a.start)[a.goal] for a in s.agents)
     assert cost_moves(s) > bfs_sum
     assert cost_moves(s) == 288  # golden, pinned at first run
 

@@ -68,6 +68,7 @@ from helpers import (
     reference_apply,
     reference_candidates,
     reference_cost_moves,
+    reference_moves,
     reference_n_mutex,
     reference_runs,
     reference_validate,
@@ -219,13 +220,12 @@ def oscillating_schedules(draw):
 @given(schedule=oscillating_schedules(), max_passes=st.sampled_from([1, 2, 3, 16]))
 def test_aba_triple_scan_matches_per_cell_reference(schedule, max_passes):
     expected, expected_passes = reference_aba_prefilter(schedule, max_passes)
-    for moves in (None, [move_steps(ag.path) for ag in schedule.agents]):
-        filtered, passes = aba_prefilter_detailed(schedule, max_passes, moves=moves)
-        assert passes == expected_passes
-        assert [ag.path for ag in filtered.agents] == [ag.path for ag in expected.agents]
-        for before, after in zip(schedule.agents, filtered.agents):
-            # a path left as it was keeps its record, so its moves stay valid
-            assert (after is before) == (after.path == before.path)
+    filtered, passes = aba_prefilter_detailed(schedule, max_passes, moves=reference_moves(schedule))
+    assert passes == expected_passes
+    assert [ag.path for ag in filtered.agents] == [ag.path for ag in expected.agents]
+    for before, after in zip(schedule.agents, filtered.agents):
+        # a path left as it was keeps its record, so its moves stay valid
+        assert (after is before) == (after.path == before.path)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -348,7 +348,7 @@ def test_checked_apply_matches_full_validation(case):
 
     def outcome(apply):
         try:
-            return apply(working, cands, solution, graph, mode, validated=(schedule, counts))
+            return apply(working, cands, solution, graph, mode, cost=cost_moves(working), validated=(schedule, counts))
         except ConsistencyError as exc:
             return str(exc)
 

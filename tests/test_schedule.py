@@ -8,6 +8,7 @@ import pytest
 from mapf_collapse import (
     Graph,
     GridMap,
+    InstanceFormatError,
     Schedule,
     UnknownVertexError,
     UnsupportedScheduleError,
@@ -23,12 +24,13 @@ from mapf_collapse import (
 )
 from mapf_collapse.candidates import REDUCED, collapse_paths
 from mapf_collapse.reduction import reduce_independent_set
-from mapf_collapse.schedule import Instance
+from mapf_collapse.schedule import Instance, instance_from_json_dict
 
 from helpers import (
     open_grid,
     random_rollout_instance,
     reference_agent_density,
+    reference_bfs_distances,
     schedule_from_paths,
     settle_time,
     single_edge_graph,
@@ -274,7 +276,7 @@ def test_cost_lower_bound_when_solved():
         if isr(s) < 1.0 or not validate(s, g, "strict").feasible:
             continue
         lower = sum(
-            g.bfs_distances(ag.start).get(ag.goal, 0) for ag in s.agents
+            reference_bfs_distances(g, ag.start).get(ag.goal, 0) for ag in s.agents
         )
         assert cost_moves(s) >= lower
         checked += 1
@@ -311,8 +313,6 @@ def test_instance_with_map_file(tmp_path):
 
 
 def test_instance_rejects_bad_horizon(tmp_path):
-    from mapf_collapse import InstanceFormatError
-
     data = {
         "graph": {"vertices": ["A"], "edges": []},
         "horizon": 3,
@@ -322,3 +322,18 @@ def test_instance_rejects_bad_horizon(tmp_path):
     p.write_text(json.dumps(data))
     with pytest.raises(InstanceFormatError):
         load_instance(str(p))
+
+
+@pytest.mark.parametrize("path", [["A"], ["A", "A"], ["A", "A", "A", "A"]], ids=["short", "shorter", "long"])
+def test_instance_rejects_a_path_whose_length_is_not_the_horizon(path):
+    data = {
+        "graph": {"vertices": ["A", "B"], "edges": []},
+        "horizon": 2,
+        "agents": [
+            {"name": "a0", "start": "B", "goal": "B", "path": ["B", "B", "B"]},
+            {"name": "a1", "start": "A", "goal": "A", "path": path},
+        ],
+    }
+    message = f"agent #1 path length {len(path)} does not match horizon 2"
+    with pytest.raises(InstanceFormatError, match=message):
+        instance_from_json_dict(data)
