@@ -35,7 +35,7 @@ from .ilp import (
 from .oracle import OracleResult, brute_force_collapse, brute_force_mis
 from .pipeline import OptimizeConfig, OptimizeResult, optimize_schedule
 from .planner import PlanRequest, noisy_rollout, prioritized_plan
-from .reduction import ReductionOutput, reduce_independent_set, verify_roundtrip
+from .reduction import ReductionOutput, reduce_independent_set
 from .relations import RelationSet, build_relations
 from .schedule import (
     AgentRecord,
@@ -103,5 +103,4 @@ __all__ = [
     "solve_exact",
     "solve_greedy",
     "validate",
-    "verify_roundtrip",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .schedule import Run, Schedule, move_steps, path_runs
+from .schedule import Schedule, move_steps, path_runs
 
 REDUCED = "reduced"
 EXHAUSTIVE = "exhaustive"
@@ -32,26 +32,26 @@ class CandidateSet:
     """Collapse candidates of one schedule as columns sorted by (agent, a, b).
 
     actions[i] is candidate i's (agent, a, b), vertices[i] its x and
-    weights[i] the number of moves it removes. per_agent[j] is the range
-    of agent j's candidates, empty if it has none. stays[x] lists every
-    agent's stays (first, last, agent) on each vertex x that some
-    candidate collapses onto, sorted.
+    weights[i] the number of moves it removes. Agent j's candidates are
+    the ones from bisect_left(actions, (j,)) to bisect_left(actions,
+    (j + 1,)). stays[x] lists every agent's stays (first, last, agent) on
+    each vertex x that some candidate collapses onto, sorted.
     """
 
     actions: tuple[Span, ...]
     vertices: tuple[str, ...]
     weights: tuple[int, ...]
-    per_agent: dict[int, range]
     stays: dict[str, list[tuple[int, int, int]]]
 
 
 def generate_candidates(
-    schedule: Schedule, mode: str = REDUCED, runs: list[list[Run]] | None = None
+    schedule: Schedule, mode: str = REDUCED, moves: Sequence[list[int]] | None = None
 ) -> CandidateSet:
     """Enumerate every agent's collapse candidates and the stays on their vertices.
 
-    runs[i] may give agent i's constant runs (schedule.path_runs); they
-    are found from the paths when it is not given.
+    moves[i] may give agent i's move steps (move_steps of its path, as
+    in validate's report); the paths are stepped when it is not given.
+    Each agent's constant runs are read from its moves (path_runs).
 
     A candidate's weight is the number of moves it removes, (run of b) -
     (run of a). Exhaustive: every (a, b) pair with a < b and path[a] ==
@@ -64,14 +64,14 @@ def generate_candidates(
     """
     if mode not in GENERATION_MODES:
         raise ValueError(f"mode must be one of {GENERATION_MODES}, got {mode!r}")
-    if runs is None:
-        runs = [path_runs(ag.path, move_steps(ag.path)) for ag in schedule.agents]
+    if moves is None:
+        moves = [move_steps(ag.path) for ag in schedule.agents]
     actions: list[Span] = []
     vertices: list[str] = []
     weights: list[int] = []
-    per_agent: dict[int, range] = {}
     stays: dict[str, list[tuple[int, int, int]]] = {}
-    for i, agent_runs in enumerate(runs):
+    for i, (ag, steps) in enumerate(zip(schedule.agents, moves)):
+        agent_runs = path_runs(ag.path, steps)
         # per vertex: the indices of the agent's runs on it
         visits: dict[str, list[int]] = {}
         for r, (v, first, last) in enumerate(agent_runs):
@@ -91,14 +91,12 @@ def generate_candidates(
                     rows.append((a, b, x, rb - ra))
         # a fixes x = path[a] and (a, b) is unique: this is the (agent, a, b) order
         rows.sort()
-        start = len(actions)
         actions.extend((i, a, b) for a, b, _, _ in rows)
         vertices.extend(x for _, _, x, _ in rows)
         weights.extend(w for _, _, _, w in rows)
-        per_agent[i] = range(start, len(actions))
     collapsed = set(vertices)
     stays = {x: sorted(vs) for x, vs in stays.items() if x in collapsed}
-    return CandidateSet(tuple(actions), tuple(vertices), tuple(weights), per_agent, stays)
+    return CandidateSet(tuple(actions), tuple(vertices), tuple(weights), stays)
 
 
 def collapse_paths(schedule: Schedule, candidates: CandidateSet, selection) -> Schedule:

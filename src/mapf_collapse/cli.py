@@ -188,14 +188,8 @@ def _cmd_gen(args) -> int:
     )
     schedule = prioritized_plan(request) if args.mode == "plan" else noisy_rollout(request)
     map_rel = os.path.relpath(args.map, os.path.dirname(os.path.abspath(args.out)) or ".")
-    data = {
-        "graph": {"map_file": map_rel},
-        "horizon": schedule.horizon,
-        "agents": [
-            {"name": ag.name, "start": ag.start, "goal": ag.goal, "path": list(ag.path)}
-            for ag in schedule.agents
-        ],
-    }
+    data = Instance(graph, schedule).to_json_dict()
+    data["graph"] = {"map_file": map_rel}
     save_json(data, args.out)
     _dump(
         {

@@ -521,8 +521,7 @@ def _restep_if_changes_kept_feasible(result: Schedule, base: Schedule) -> dict[i
         return None
     T = base.horizon
     restepped: dict[int, list[int]] = {}
-    checked = bytearray(T + 1)  # 1 at each timestep whose column is checked
-    ones = b"\x01" * (T + 1)
+    windows: list[tuple[int, int]] = []  # each changed row's (first, last) changed step
     for i, (ag, before) in enumerate(zip(result.agents, base.agents)):
         if ag is before:
             continue
@@ -540,8 +539,13 @@ def _restep_if_changes_kept_feasible(result: Schedule, base: Schedule) -> dict[i
         ends = [*steps, *map((1).__add__, steps)]
         if list(map(q.__getitem__, ends)) != list(map(p.__getitem__, ends)):
             return None
-        checked[lo : hi + 1] = ones[lo : hi + 1]
+        windows.append((lo, hi))
         restepped[i] = steps
+    if not windows:
+        return restepped
+    checked = bytearray(T + 1)  # 1 at each timestep whose column is checked
+    for lo, hi in windows:
+        checked[lo : hi + 1] = b"\x01" * (hi + 1 - lo)
     n = len(result.agents)
     columns = compress(zip(*(ag.path for ag in result.agents)), checked)
     if not all(map(n.__eq__, map(len, map(set, columns)))):

@@ -9,12 +9,12 @@ prefilter's removals are part of the saving.
 
 Each path's move steps are found once per call, by the input's
 validation, and every stage reads them: the move counts and settle
-times, the prefilter's triples, and the constant runs that candidates
-and stays come from. Past candidate generation only each path's move
-count and last move step are kept. Only the paths that differ from the
-input are stepped again: the prefilter's rewrites, and the output's
-rows in apply_solution's check. Nothing is kept on the caller's
-schedule.
+times, the prefilter's triples, and candidate generation, which reads
+each path's constant runs, and so its stays, from them. Past candidate
+generation only each path's move count and last move step are kept.
+Only the paths that differ from the input are stepped again: the
+prefilter's rewrites, and the output's rows in apply_solution's check.
+Nothing is kept on the caller's schedule.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .ilp import (
     solve_exact,
 )
 from .relations import RelationSet, build_relations
-from .schedule import MODES, STRICT, Schedule, isr, move_steps, path_runs, soc_from_moves, validate
+from .schedule import MODES, STRICT, Schedule, isr, move_steps, soc_from_moves, validate
 
 DEFAULT_TIME_LIMIT_MS = 5000
 
@@ -51,11 +51,12 @@ class OptimizeConfig:
         if not isinstance(self.aba_filter, bool):
             raise ValueError(f"aba_filter must be a bool, got {self.aba_filter!r}")
         # the solve reads the limit in seconds, as a float
-        if isinstance(self.time_limit_ms, bool) or not self.time_limit_ms <= sys.float_info.max:
+        limit = self.time_limit_ms
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)) or not limit <= sys.float_info.max:
             raise ValueError("time_limit_ms must be a number of milliseconds within float range")
         # 0 is valid: each component keeps its first dive (solve_greedy)
-        if self.time_limit_ms < 0:
-            raise ValueError(f"time_limit_ms must be at least 0, got {self.time_limit_ms}")
+        if limit < 0:
+            raise ValueError(f"time_limit_ms must be at least 0, got {limit}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,12 +117,10 @@ def optimize_schedule(
     aba_removed = cost_before - cost_working
 
     t_build = time.monotonic()
-    runs = [path_runs(ag.path, steps) for ag, steps in zip(working.agents, moves)]
-    # nothing reads the move lists past here, nor the runs past candidates:
-    # freed, they are not held through the solve and apply peaks
+    cands = generate_candidates(working, moves=moves)
+    # nothing reads the move lists past here: freed, they are not held
+    # through the solve and apply peaks
     del report, moves
-    cands = generate_candidates(working, runs=runs)
-    del runs
     rel = build_relations(cands)
     model = build_model(rel, cands)
     build_time = time.monotonic() - t_build

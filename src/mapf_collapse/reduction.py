@@ -7,20 +7,16 @@ that sweeps a 7-step block through both endpoint vertices of its edge.
 Collapsing a vertex agent saves 2 moves but parks it on x_u forever;
 each edge agent offers two mutually exclusive 4-move collapses, one
 avoiding each endpoint visit. The optimal total saving is therefore
-4m + 2 * (max independent set size), which verify_roundtrip checks
-against brute force.
+4m + 2 * (max independent set size): the optimal cost is at most
+beta = c0 - 4m - 2k exactly when H has an independent set of size k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .candidates import REDUCED, generate_candidates
-from .errors import CapExceededError, ConsistencyError
+from .errors import CapExceededError
 from .graph import Graph
-from .ilp import build_model, solve_exact
-from .oracle import brute_force_mis
-from .relations import build_relations
 from .schedule import AgentRecord, Schedule, cost_moves
 
 BLOCK = 7  # timesteps consumed per edge block
@@ -88,43 +84,3 @@ def reduce_independent_set(h: Graph, k: int) -> ReductionOutput:
     c0 = cost_moves(schedule)
     beta = c0 - 4 * m - 2 * k
     return ReductionOutput(graph, schedule, beta, c0, m, vertex_agents, tuple(edge_agents))
-
-
-@dataclass(frozen=True)
-class RoundtripReport:
-    agree: bool
-    alpha: int
-    opt_cost: int
-    beta: int
-    c0: int
-    m: int
-    alpha_from_cost: float
-
-
-def optimal_collapsed_cost(red: ReductionOutput, time_limit: float | None = None) -> int:
-    """Exact optimal cost of the reduced instance via the built-in solver."""
-    cands = generate_candidates(red.schedule, REDUCED)
-    rel = build_relations(cands)
-    model = build_model(rel, cands)
-    sol = solve_exact(model, time_limit)
-    if not sol.optimal:
-        raise CapExceededError("solver did not certify optimality within the time limit")
-    return red.c0 - sol.saving
-
-
-def verify_roundtrip(h: Graph, k: int, time_limit: float | None = None) -> RoundtripReport:
-    """Check 'optimal cost <= beta iff H has an independent set of size >= k'.
-
-    Also recovers the independent set size from the optimal cost:
-    alpha = (c0 - opt - 4m) / 2 must hold exactly.
-    """
-    red = reduce_independent_set(h, k)
-    opt = optimal_collapsed_cost(red, time_limit)
-    alpha = brute_force_mis(h)
-    alpha_from_cost = (red.c0 - opt - 4 * red.m) / 2
-    agree = (opt <= red.beta) == (alpha >= k)
-    if alpha_from_cost != alpha:
-        raise ConsistencyError(
-            f"independent set size mismatch: brute force {alpha}, from cost {alpha_from_cost}"
-        )
-    return RoundtripReport(agree, alpha, opt, red.beta, red.c0, red.m, alpha_from_cost)

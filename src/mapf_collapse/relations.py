@@ -120,8 +120,8 @@ def build_relations(candidates: CandidateSet) -> RelationSet:
     only on request.
 
     Reads only the candidate set: its span and vertex columns, sorted by
-    (agent, a, b), the range of each agent's candidates (suitable sets
-    are found by bisecting it by start a) and the stays on each collapse
+    (agent, a, b), so that an agent's candidates starting before a step
+    are one bisect range of the spans, and the stays on each collapse
     vertex. An action's blocking stays are the other agents' stays on
     its vertex that meet [a, b], walked in (first, last, agent) order.
     Each records a dependency at the first step it shares with [a, b],
@@ -146,11 +146,10 @@ def build_relations(candidates: CandidateSet) -> RelationSet:
                 continue
             suitable = suitable_by_stay.get((j, first))
             if suitable is None:
-                # j's candidates off x that cover its whole stay on x
-                own = candidates.per_agent[j]
+                # j's candidates off x that start before its stay on x and end after it
                 suitable = tuple(
                     s
-                    for s in own[: bisect_left(own, first, key=lambda i: actions[i][1])]
+                    for s in range(bisect_left(actions, (j,)), bisect_left(actions, (j, first)))
                     if actions[s][2] > last and vertices[s] != x
                 )
                 suitable = suitable_by_stay[j, first] = interned.setdefault(suitable, suitable)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from mapf_collapse import (
     AgentRecord,
@@ -18,12 +18,14 @@ from mapf_collapse import (
     Schedule,
     UnknownVertexError,
     UnsupportedScheduleError,
+    brute_force_mis,
     grid_to_graph,
     noisy_rollout,
     validate,
 )
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, collapse_paths, generate_candidates
 from mapf_collapse.graph import parse_cell
+from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.reduction import reduce_independent_set
 from mapf_collapse.schedule import STRICT, FeasibilityReport, Violation, _check_mode
 
@@ -118,6 +120,23 @@ def square_graph():
     return Graph(vs, [("u1", "u2"), ("u2", "u3"), ("u3", "u4"), ("u4", "u1")])
 
 
+def reduction_roundtrip(h, ks):
+    """Optimize the reduction of H through optimize_schedule and check it
+    against brute force: the optimum is proved, it recovers alpha(H) as
+    c0 - opt == 4m + 2 alpha, and for each k in ks, opt <= beta(k)
+    exactly when alpha >= k. Returns (opt, alpha)."""
+    red = reduce_independent_set(h, 1)
+    stats = optimize_schedule(red.schedule, red.graph, OptimizeConfig(time_limit_ms=120_000)).stats
+    assert stats["optimal"]
+    assert stats["cost_before"] == red.c0
+    opt = stats["cost_after"]
+    alpha = brute_force_mis(h)
+    assert red.c0 - opt == 4 * red.m + 2 * alpha
+    for k in ks:
+        assert (opt <= reduce_independent_set(h, k).beta) == (alpha >= k)
+    return opt, alpha
+
+
 def edge_instance_json():
     """Instance JSON of one agent crossing the edge A-B at T=1."""
     return {
@@ -194,6 +213,13 @@ def candidate_rows(candidates):
     return [(*span, x, w) for span, x, w in zip(candidates.actions, candidates.vertices, candidates.weights)]
 
 
+def agent_candidates(candidates, agent) -> range:
+    """Indices of one agent's candidates: the bisect range of the
+    actions column, which is sorted by (agent, a, b)."""
+    actions = candidates.actions
+    return range(bisect_left(actions, (agent,)), bisect_left(actions, (agent + 1,)))
+
+
 def reference_candidates(schedule, mode):
     """(actions, vertices, weights) by a scan over the cells: the reference
     for generate_candidates.
@@ -222,7 +248,8 @@ def eager_exclusions_in(candidates):
     """Within-agent exclusions listed pair by pair: the reference sweep."""
     actions = candidates.actions
     pairs = []
-    for indices in candidates.per_agent.values():
+    for agent in sorted({span[0] for span in actions}):
+        indices = agent_candidates(candidates, agent)
         # indices are sorted by (a, b); sweep by start using bisect on starts
         starts = [actions[i][1] for i in indices]
         for pos, i in enumerate(indices):
@@ -254,7 +281,7 @@ def per_step_dependencies(schedule, candidates):
                     continue
                 suitable = tuple(
                     s
-                    for s in candidates.per_agent.get(j, ())
+                    for s in agent_candidates(candidates, j)
                     if actions[s][1] <= k <= actions[s][2] and vertices[s] != x
                 )
                 if not suitable:

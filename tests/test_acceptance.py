@@ -19,7 +19,6 @@ from mapf_collapse import (
     Instance,
     PlanRequest,
     brute_force_collapse,
-    brute_force_mis,
     cost_moves,
     generate_candidates,
     grid_to_graph,
@@ -31,9 +30,15 @@ from mapf_collapse import (
 from mapf_collapse.candidates import EXHAUSTIVE, REDUCED, aba_prefilter_detailed
 from mapf_collapse.cli import main
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule, strip_timing
-from mapf_collapse.reduction import optimal_collapsed_cost, reduce_independent_set
+from mapf_collapse.reduction import reduce_independent_set
 
-from helpers import random_rollout_instance, reference_moves, schedule_from_paths, single_edge_graph
+from helpers import (
+    random_rollout_instance,
+    reduction_roundtrip,
+    reference_moves,
+    schedule_from_paths,
+    single_edge_graph,
+)
 
 
 def report(n, label, ok, detail=""):
@@ -158,16 +163,6 @@ def _connected(n, edges):
     return len(seen) == n
 
 
-def _roundtrip_graph(h):
-    red = reduce_independent_set(h, 1)
-    opt = optimal_collapsed_cost(red, 120.0)
-    alpha = brute_force_mis(h)
-    assert 2 * alpha == red.c0 - opt - 4 * red.m
-    for k in range(1, len(h.vertices) + 1):
-        beta = red.c0 - 4 * red.m - 2 * k
-        assert (opt <= beta) == (alpha >= k)
-
-
 def test_4_reduction_roundtrip():
     t0 = time.monotonic()
     graphs = 0
@@ -178,7 +173,7 @@ def test_4_reduction_roundtrip():
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             if not edges or not _connected(n, edges):
                 continue
-            _roundtrip_graph(Graph(names, [(names[a], names[b]) for a, b in edges]))
+            reduction_roundtrip(Graph(names, [(names[a], names[b]) for a, b in edges]), range(1, n + 1))
             graphs += 1
     rng = random.Random(4242)
     randoms = 0
@@ -189,7 +184,7 @@ def test_4_reduction_roundtrip():
         edges = [e for e in itertools.combinations(names, 2) if rng.random() < p]
         if not edges:
             continue
-        _roundtrip_graph(Graph(names, edges))
+        reduction_roundtrip(Graph(names, edges), range(1, n + 1))
         randoms += 1
     elapsed = time.monotonic() - t0
     ok = elapsed < 300.0

@@ -16,6 +16,7 @@ from mapf_collapse.candidates import (
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
+    agent_candidates,
     candidate_rows,
     crowded_schedules,
     random_rollout_instance,
@@ -83,8 +84,8 @@ def test_candidates_sorted_canonically():
             keys = list(cands.actions)
             assert keys == sorted(keys)
             assert len(cands.vertices) == len(cands.weights) == len(keys)
-            for agent, idxs in cands.per_agent.items():
-                assert all(cands.actions[i][0] == agent for i in idxs)
+            for agent in range(s.n_agents):
+                assert all(cands.actions[i][0] == agent for i in agent_candidates(cands, agent))
 
 
 def test_reduced_subset_of_exhaustive():

@@ -1,14 +1,25 @@
 import csv
 import io
 import json
+import os
+import random
 import time
 
 import pytest
 
-from mapf_collapse import Instance, load_instance, save_instance
+from mapf_collapse import (
+    Instance,
+    PlanRequest,
+    grid_to_graph,
+    load_instance,
+    noisy_rollout,
+    prioritized_plan,
+    save_instance,
+)
 from mapf_collapse.cli import main
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule
 from mapf_collapse.reduction import reduce_independent_set
+from mapf_collapse.schedule import read_map_file
 
 from helpers import (
     all_pairs_cross_exclusions,
@@ -276,7 +287,7 @@ def test_time_limit_too_large_for_a_float_exit_1_writes_nothing(gadget_instance,
     assert "error: time_limit_ms must be a number of milliseconds within float range" in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
-    for limit in (True, float("nan"), float("inf")):
+    for limit in (True, float("nan"), float("inf"), "5", None, [1], 1j):
         with pytest.raises(ValueError, match="time_limit_ms must be a number"):
             OptimizeConfig(time_limit_ms=limit)
 
@@ -354,6 +365,20 @@ def test_reduce_bad_k_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def expected_gen_file(map_path, out_path, agents, seed, horizon, mode, noise=0.4):
+    """What gen writes: the generated instance's JSON, with the graph given
+    as the map file's path relative to the output's directory."""
+    graph = grid_to_graph(read_map_file(str(map_path)))
+    rng = random.Random(seed)
+    starts = tuple(rng.sample(graph.vertices, agents))
+    goals = tuple(rng.sample(graph.vertices, agents))
+    request = PlanRequest(graph, starts, goals, horizon=horizon, seed=seed, noise=noise)
+    schedule = prioritized_plan(request) if mode == "plan" else noisy_rollout(request)
+    data = Instance(graph, schedule).to_json_dict()
+    data["graph"] = {"map_file": os.path.relpath(map_path, os.path.dirname(out_path))}
+    return data
+
+
 def test_gen_rollout_and_optimize(tmp_path, capsys):
     map_path = tmp_path / "m.map"
     map_path.write_text(TINY_MAP)
@@ -377,6 +402,8 @@ def test_gen_rollout_and_optimize(tmp_path, capsys):
     assert code == 0
     info = json.loads(out)
     assert info["n_agents"] == 3 and info["rng"] == "mt19937"
+    with open(inst_path) as fh:
+        assert json.load(fh) == expected_gen_file(map_path, inst_path, 3, 5, 16, "rollout", noise=0.5)
     inst = load_instance(inst_path)
     assert inst.map_name == "m"
     code, out = run(capsys, "optimize", inst_path, "--mode", "relaxed",
@@ -393,6 +420,8 @@ def test_gen_plan_mode_strict(tmp_path, capsys):
         "--mode", "plan", "--horizon", "64", "-o", inst_path,
     )
     assert code == 0
+    with open(inst_path) as fh:
+        assert json.load(fh) == expected_gen_file(map_path, inst_path, 2, 1, 64, "plan")
     code, _ = run(capsys, "validate", inst_path)
     assert code == 0
 
@@ -459,6 +488,7 @@ def test_bench_rows_and_summary(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["instances"] == 4
     assert summary["errors"] == 0
+    assert summary["within_1s_fraction"] == 1.0
     assert 0.0 <= summary["mean_saving_ratio"] <= 1.0
     rows = read_rows(out_csv)
     assert [r["instance_id"] for r in rows] == sorted(r["instance_id"] for r in rows)
@@ -475,12 +505,34 @@ def test_bench_empty_dir(tmp_path, capsys):
     out_csv = str(tmp_path / "empty.csv")
     code, out = run(capsys, "bench", str(d), "--out", out_csv)
     assert code == 0
-    assert json.loads(out)["instances"] == 0
+    summary = json.loads(out)
+    assert summary["instances"] == 0
+    assert summary["within_1s_fraction"] is None
     rows = read_rows(out_csv)
     assert rows == []
     with open(out_csv) as fh:
         header = fh.readline().strip().split(",")
     assert header[0] == "instance_id" and "error" in header
+
+
+def test_zero_agents_long_horizon_optimize_and_bench(tmp_path, capsys):
+    # with no agents nothing bounds the horizon, so no step may allocate
+    # per timestep before it knows a path changed
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    inst_path = bench_dir / "empty.json"
+    inst_path.write_text(json.dumps(
+        {"graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]}, "horizon": 10**30, "agents": []}
+    ))
+    stats_path = tmp_path / "s.json"
+    code, _ = run(capsys, "optimize", str(inst_path), "-o", str(tmp_path / "o.json"), "--stats", str(stats_path))
+    assert code == 0
+    stats = json.loads(stats_path.read_text())
+    assert stats["n_agents"] == 0 and stats["horizon"] == 10**30 and stats["cost_after"] == 0
+    code, _ = run(capsys, "bench", str(bench_dir), "--out", str(tmp_path / "bench.csv"))
+    assert code == 0
+    (row,) = read_rows(tmp_path / "bench.csv")
+    assert row["error"] == "" and row["cost_after"] == "0"
 
 
 def test_bench_mixed_invalid_flagged(tmp_path, capsys):

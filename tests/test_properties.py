@@ -298,6 +298,7 @@ def test_dependencies_match_per_step_scan_on_shared_cells(schedule, mode):
 def test_candidate_columns_match_per_cell_scan(schedule, mode):
     cands = generate_candidates(schedule, mode)
     assert (cands.actions, cands.vertices, cands.weights) == reference_candidates(schedule, mode)
+    assert generate_candidates(schedule, mode, moves=reference_moves(schedule)) == cands
 
 
 @st.composite
@@ -333,7 +334,7 @@ def selections_on_rollouts(draw):
         for lo, hi in ((a, m), (m, b)):
             rows.append(((agent, lo, hi), draw(ends), sum(map(ne, path[lo:hi], path[lo + 1 : hi + 1]))))
     actions, vertices, weights = (tuple(column) for column in zip(*rows)) if rows else ((), (), ())
-    cands = CandidateSet(actions, vertices, weights, {}, {})
+    cands = CandidateSet(actions, vertices, weights, {})
     selected = frozenset(draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)) if rows else ())
     true = cost_moves(working) - cost_moves(collapse_paths(working, cands, selected))
     saving = draw(st.sampled_from([true, sum(weights[i] for i in selected), true - 1, true + 1]))

@@ -9,12 +9,18 @@ from mapf_collapse import (
     cost_moves,
     generate_candidates,
     validate,
-    verify_roundtrip,
 )
 from mapf_collapse.candidates import REDUCED
 from mapf_collapse.reduction import BLOCK, reduce_independent_set
 
-from helpers import candidate_rows, single_edge_graph, square_graph, triangle_graph
+from helpers import (
+    agent_candidates,
+    candidate_rows,
+    reduction_roundtrip,
+    single_edge_graph,
+    square_graph,
+    triangle_graph,
+)
 
 
 def test_reduce_single_edge_matches_gadget():
@@ -79,12 +85,12 @@ def test_reduced_candidates_shape_per_agent():
         cands = generate_candidates(red.schedule, REDUCED)
         rows = candidate_rows(cands)
         for u, agent_idx in red.vertex_agents.items():
-            acts = [rows[i] for i in cands.per_agent.get(agent_idx, ())]
+            acts = [rows[i] for i in agent_candidates(cands, agent_idx)]
             assert [(a, b, w) for _, a, b, _, w in acts] == [(0, red.schedule.horizon, 2)]
             assert acts[0][3] == f"x_{u}"
         for r, agent_idx in enumerate(red.edge_agents, start=1):
             theta = BLOCK * (r - 1)
-            acts = [rows[i] for i in cands.per_agent.get(agent_idx, ())]
+            acts = [rows[i] for i in agent_candidates(cands, agent_idx)]
             assert all(w == 4 for *_, w in acts)
             # every positive action is equivalent to one of the two block
             # collapses: a-endpoint ones end at theta+4, b-endpoint ones
@@ -102,32 +108,27 @@ def test_reduced_candidates_shape_per_agent():
 
 
 def test_roundtrip_single_edge():
-    rep = verify_roundtrip(single_edge_graph(), 1)
-    assert rep.agree
-    assert rep.opt_cost == 4 and rep.beta == 4 and rep.alpha == 1
+    assert reduction_roundtrip(single_edge_graph(), [1]) == (4, 1)
+    assert reduce_independent_set(single_edge_graph(), 1).beta == 4
 
 
 def test_roundtrip_triangle_k2():
-    rep = verify_roundtrip(triangle_graph(), 2)
-    assert rep.agree
-    assert rep.opt_cost == 10 and rep.beta == 8 and rep.alpha == 1
+    assert reduction_roundtrip(triangle_graph(), [2]) == (10, 1)
+    assert reduce_independent_set(triangle_graph(), 2).beta == 8
 
 
 def test_roundtrip_square_k2():
-    rep = verify_roundtrip(square_graph(), 2)
-    assert rep.agree
-    assert rep.alpha == 2
-    assert rep.opt_cost == 12  # c0=32, m=4: 32 - 16 - 4
+    # c0 = 32, m = 4: opt = 32 - 16 - 2 * 2
+    assert reduction_roundtrip(square_graph(), [2]) == (12, 2)
 
 
 def test_roundtrip_alpha_recovery_small_graphs():
+    # the reduced schedule does not depend on k, only beta does: one
+    # optimization per graph checks every k
     rng = random.Random(79)
     for _ in range(15):
         n = rng.randint(2, 6)
         names = [f"u{i}" for i in range(n)]
         pairs = list(itertools.combinations(names, 2))
         h = Graph(names, rng.sample(pairs, rng.randint(1, len(pairs))))
-        for k in range(1, n + 1):
-            rep = verify_roundtrip(h, k)
-            assert rep.agree
-            assert rep.alpha_from_cost == rep.alpha
+        reduction_roundtrip(h, range(1, n + 1))

@@ -17,6 +17,7 @@ from mapf_collapse.oracle import brute_force_collapse
 from mapf_collapse.reduction import reduce_independent_set
 
 from helpers import (
+    agent_candidates,
     all_pairs_cross_exclusions,
     crowded_schedules,
     dumped_pairs,
@@ -193,8 +194,9 @@ def test_relation_feasible_selections_validate_and_match_oracle():
 
 def test_candidate_set_order_ranges_and_stays():
     # build_relations reads only the candidate set, so its contract is
-    # pinned here: actions sorted by (agent, a, b), per_agent ranges that
-    # partition them, and every agent's stays on each collapse vertex
+    # pinned here: actions sorted by (agent, a, b), so that each agent's
+    # candidates are one bisect range and the ranges partition them, and
+    # every agent's stays on each collapse vertex
     rng = random.Random(29)
     schedules = [random_rollout_instance(rng)[0] for _ in range(10)] + list(crowded_schedules())
     n_stays = 0
@@ -203,9 +205,8 @@ def test_candidate_set_order_ranges_and_stays():
         keys = list(cands.actions)
         assert keys == sorted(keys)
         covered = []
-        assert sorted(cands.per_agent) == list(range(s.n_agents))
-        for j, own in sorted(cands.per_agent.items()):
-            assert isinstance(own, range)
+        for j in range(s.n_agents):
+            own = agent_candidates(cands, j)
             assert all(keys[i][0] == j for i in own)
             covered.extend(own)
         assert covered == list(range(len(keys)))
