@@ -6,8 +6,8 @@ it is one row of the candidate set's columns, which no stage copies.
 Reduced mode emits one candidate per pair of maximal constant runs of
 one agent on x, from the last step of the earlier run to the first step
 of the later one; exhaustive mode keeps every pair of visits and backs
-the brute-force oracle. Runs and the ABA prefilter's A,B,A triples are
-read from each path's move steps, which the caller may pass in.
+the brute-force oracle. Runs and the A,B,A triples the ABA prefilter
+scans once are read from each path's move steps, which callers may pass.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .schedule import Schedule, move_steps, path_runs
 REDUCED = "reduced"
 EXHAUSTIVE = "exhaustive"
 GENERATION_MODES = (REDUCED, EXHAUSTIVE)
-
-ABA_DEFAULT_MAX_PASSES = 16
-
 
 Span = tuple[int, int, int]  # (agent, a, b)
 
@@ -116,64 +113,46 @@ def collapse_paths(schedule: Schedule, candidates: CandidateSet, selection) -> S
     return schedule.with_paths(paths)
 
 
-def aba_prefilter_detailed(
-    schedule: Schedule,
-    max_passes: int = ABA_DEFAULT_MAX_PASSES,
-    *,
-    moves: Sequence[list[int]],
-) -> tuple[Schedule, int]:
+def aba_prefilter_detailed(schedule: Schedule, *, moves: Sequence[list[int]]) -> Schedule:
     """Rewrite A,B,A position triples to A,A,A where no collision results.
 
-    Scans agents in index order and timesteps ascending, repeating full
-    passes until a fixpoint or the pass cap. A rewrite is skipped when
-    another agent occupies A at the middle timestep in the current,
-    partially rewritten schedule. Rewrites only remove moves, so no edge
-    collision can be introduced. Returns the filtered schedule and the
-    number of passes executed (fixpoint pass included); agents whose
-    path is not rewritten keep their AgentRecord.
+    One scan, agents in index order and timesteps ascending. A rewrite
+    is skipped when another agent occupies A at the middle timestep in
+    the current, partially rewritten schedule; the exact solve may still
+    collapse that triple. Rewrites only remove moves, so no edge
+    collision can be introduced. Agents whose path is not rewritten keep
+    their AgentRecord.
 
     A triple is two consecutive moves s, s + 1 of one agent with
     path[s] == path[s + 2], found from the move steps: moves[i] is agent
     i's (move_steps of its path, as in validate's report). A rewrite
-    makes its cell equal to both neighbours, so it never creates a
-    triple: each pass re-checks only the triples left from the pass
-    before, in the same order a scan over every cell would meet them.
-    The occupants at a timestep are one list over all agents, built when
-    a triple there is first checked; cells at a timestep change only by
-    a rewrite there, after that list exists, so it is kept current by
-    writing each rewrite into it.
+    makes its cell equal to both neighbours, so it creates no triple and
+    removes only the agent's next one; a second scan could rewrite only
+    a triple that a later agent's rewrite unblocked. The occupants at a
+    timestep are one list over all agents, built when a triple there is
+    first checked; cells at a timestep change only by a rewrite there,
+    after that list exists, so it is kept current by writing each
+    rewrite into it.
     """
     agents = schedule.agents
-    # per agent with a triple: (index, path as a list, middle steps of its triples)
-    pending: list[tuple[int, list[str], list[int]]] = []
+    columns: dict[int, list[str]] = {}
+    rows: dict[int, list[str]] = {}
     for i, (ag, steps) in enumerate(zip(agents, moves)):
         p = ag.path
-        mids = [s + 1 for s, nxt in zip(steps, steps[1:]) if nxt == s + 1 and p[s] == p[s + 2]]
-        if mids:
-            pending.append((i, list(p), mids))
-
-    columns: dict[int, list[str]] = {}
-    rewritten: set[int] = set()
-    passes = 0
-    while passes < max_passes:
-        passes += 1
-        changed = False
-        for i, row, mids in pending:
-            blocked = []
-            for t in mids:
-                a = row[t - 1]
-                if row[t + 1] != a or row[t] == a:
-                    continue  # a rewrite next to it removed this triple
-                column = columns.get(t)
-                if column is None:
-                    column = columns[t] = [ag.path[t] for ag in agents]
-                if a in column:
-                    blocked.append(t)  # someone else sits at A right now
-                    continue
-                column[i] = row[t] = a
-                rewritten.add(i)
-                changed = True
-            mids[:] = blocked
-        if not changed:
-            break
-    return schedule.with_paths({i: row for i, row, _ in pending if i in rewritten}), passes
+        rewrote = -1  # middle step of the agent's last rewrite
+        for s, nxt in zip(steps, steps[1:]):
+            t = s + 1
+            if nxt != t or p[s] != p[t + 1] or rewrote == s:
+                continue  # not a triple, or the rewrite at s removed it
+            a = p[s]
+            column = columns.get(t)
+            if column is None:
+                column = columns[t] = [other.path[t] for other in agents]
+            if a in column:
+                continue  # someone else sits at A right now
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = list(p)
+            column[i] = row[t] = a
+            rewrote = t
+    return schedule.with_paths(rows)

@@ -132,7 +132,7 @@ def _cmd_optimize(args) -> int:
     stem, _ = os.path.splitext(args.instance)
     out_path = args.out or f"{stem}.optimized.json"
     stats_path = args.stats or f"{stem}.stats.json"
-    save_instance(Instance(inst.graph, result.schedule, inst.grid, inst.map_name), out_path)
+    save_instance(Instance(inst.graph, result.schedule), out_path)
     save_json(result.stats, stats_path)
     if args.dump_relations:
         save_json(result.relations.to_json_dict(), args.dump_relations)

@@ -254,7 +254,7 @@ def _solve_component(
     owned: list[list[tuple[int, ...]]],
     comp: list[int],
     val: list[int],
-    deadline: float | None,
+    deadline: float,
 ) -> tuple[list[int], bool, int, int, int]:
     """Exact search on one component: (selected, proved, nodes, bound,
     same-agent overlapping pairs).
@@ -264,12 +264,13 @@ def _solve_component(
     nothing; a node that branches pushes its 0-decision and then its
     1-decision, so 1 is tried first. A popped decision undoes the
     assignments and DP results past its marks, then assigns. The empty
-    selection is the first incumbent. The deadline is read only once the
-    search has reached a feasible leaf, so a component it cuts keeps at
-    least its first dive's selection. bound is the proved optimum, or
-    the root relaxation's value when the deadline cut the search. val
-    holds every variable's state; it is shared between the disjoint
-    components of one solve.
+    selection is the first incumbent. The deadline, a time.monotonic()
+    reading (math.inf for none), is read only once the search has
+    reached a feasible leaf, so a component it cuts keeps at least its
+    first dive's selection. bound is the proved optimum, or the root
+    relaxation's value when the deadline cut the search. val holds every
+    variable's state; it is shared between the disjoint components of
+    one solve.
 
     Fixing a variable to 1 fixes its same-agent overlaps to 0; per
     implication it owns, a single member not fixed to 0 is fixed to 1,
@@ -377,7 +378,7 @@ def _solve_component(
                 continue
         nodes += 1
         # best is non-empty from the first feasible leaf on: its bound beat 0
-        if best and deadline is not None and time.monotonic() > deadline:
+        if best and time.monotonic() > deadline:
             completed = False
             break
         bound, relaxed, branch = evaluate()
@@ -392,7 +393,7 @@ def _solve_component(
     return best, proved, nodes, best_saving if proved else root_bound, overlaps
 
 
-def solve_exact(model: IlpModel, time_limit: float | None) -> CollapseSolution:
+def solve_exact(model: IlpModel, time_limit: float) -> CollapseSolution:
     """Exact solve, component by component; anytime under a time limit.
 
     The components run in (size, smallest variable) order under one
@@ -403,11 +404,11 @@ def solve_exact(model: IlpModel, time_limit: float | None) -> CollapseSolution:
     is True iff every component was proved; upper_bound adds up each
     component's proved optimum or root bound. n_mutex adds up the
     same-agent overlaps that each agent's interval DP counts from its
-    spans. time_limit is in seconds, None for no limit. Deterministic:
+    spans. time_limit is in seconds (math.inf: none). Deterministic:
     fixed component and variable order, first-found tie-breaking.
     """
     t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = t0 + time_limit
     val = [UNDEC] * model.n_vars
     for i in model.fixed_zero:
         val[i] = ZERO

@@ -3,9 +3,11 @@
 optimize_schedule validates the input in the requested mode, optionally
 runs the ABA prefilter, generates candidates, builds relations and the
 0/1 model, solves, and applies the selection, checking the result where
-it differs from the validated input. Reported cost/SoC deltas always
-compare the original input against the final output, so the
-prefilter's removals are part of the saving.
+it differs from the validated input. The prefilter scans the A,B,A
+triples once; one it leaves blocked is a candidate the solve may still
+collapse. Reported cost/SoC deltas always compare the original input
+against the final output, so the prefilter's removals are part of the
+saving.
 
 Each path's move steps are found once per call, by the input's
 validation, and every stage reads them: the move counts and settle
@@ -106,9 +108,8 @@ def optimize_schedule(
     isr_before = isr(schedule)
 
     working = schedule
-    aba_passes = 0
     if config.aba_filter:
-        working, aba_passes = aba_prefilter_detailed(schedule, moves=moves)
+        working = aba_prefilter_detailed(schedule, moves=moves)
         moves = [
             steps if ag is before else move_steps(ag.path)
             for steps, ag, before in zip(moves, working.agents, schedule.agents)
@@ -147,7 +148,6 @@ def optimize_schedule(
         "soc_after": soc_from_moves(final, last_moves),
         "isr_before": isr_before,
         "isr_after": isr_before,
-        "aba_passes": aba_passes,
         "aba_removed_moves": aba_removed,
         "ilp_saving": solution.saving,
         "n_actions": len(cands.actions),

@@ -602,16 +602,14 @@ def reference_n_mutex(model: IlpModel) -> int:
     return sum(count_chain_pairs(model.spans, group) for group in by_agent.values())
 
 
-def reference_aba_prefilter(schedule: Schedule, max_passes: int = 16) -> tuple[Schedule, int]:
+def reference_aba_prefilter(schedule: Schedule) -> Schedule:
     """aba_prefilter_detailed by a walk over every (agent, timestep) cell
     with per-timestep occupancy counts: the reference.
 
-    Rewrites A,B,A position triples to A,A,A where no collision results.
-    Scans agents in index order and timesteps ascending, repeating full
-    passes until a fixpoint or the pass cap. A rewrite is skipped when
-    another agent occupies A at the middle timestep in the current,
-    partially rewritten schedule. Returns the filtered schedule and the
-    number of passes executed (fixpoint pass included).
+    Rewrites A,B,A position triples to A,A,A where no collision results,
+    in one scan, agents in index order and timesteps ascending. A
+    rewrite is skipped when another agent occupies A at the middle
+    timestep in the current, partially rewritten schedule.
     """
     T = schedule.horizon
     paths = [list(ag.path) for ag in schedule.agents]
@@ -621,28 +619,21 @@ def reference_aba_prefilter(schedule: Schedule, max_passes: int = 16) -> tuple[S
         for t, v in enumerate(row):
             occupancy[t][v] = occupancy[t].get(v, 0) + 1
 
-    passes = 0
-    while passes < max_passes:
-        passes += 1
-        changed = False
-        for row in paths:
-            for t in range(1, T):
-                a = row[t - 1]
-                if row[t + 1] != a or row[t] == a:
-                    continue
-                occ = occupancy[t]
-                if occ.get(a, 0) > 0:
-                    continue  # someone else sits at A right now
-                b = row[t]
-                occ[b] -= 1
-                if occ[b] == 0:
-                    del occ[b]
-                occ[a] = occ.get(a, 0) + 1
-                row[t] = a
-                changed = True
-        if not changed:
-            break
-    return schedule.with_paths(dict(enumerate(paths))), passes
+    for row in paths:
+        for t in range(1, T):
+            a = row[t - 1]
+            if row[t + 1] != a or row[t] == a:
+                continue
+            occ = occupancy[t]
+            if occ.get(a, 0) > 0:
+                continue  # someone else sits at A right now
+            b = row[t]
+            occ[b] -= 1
+            if occ[b] == 0:
+                del occ[b]
+            occ[a] = occ.get(a, 0) + 1
+            row[t] = a
+    return schedule.with_paths(dict(enumerate(paths)))
 
 
 def reference_runs(path) -> list[tuple[str, int, int]]:

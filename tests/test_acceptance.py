@@ -417,7 +417,7 @@ def test_9_aba_filter_safety_500():
             horizon=rng.randint(8, 12),
             noise=noise,
         )
-        filtered, _ = aba_prefilter_detailed(s, moves=reference_moves(s))
+        filtered = aba_prefilter_detailed(s, moves=reference_moves(s))
         assert validate(filtered, g, "relaxed").feasible
         assert cost_moves(filtered) <= cost_moves(s)
         res_on = optimize_schedule(s, g, on)

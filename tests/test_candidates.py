@@ -5,6 +5,7 @@ import pytest
 from mapf_collapse import (
     cost_moves,
     generate_candidates,
+    optimize_schedule,
     validate,
 )
 from mapf_collapse.candidates import (
@@ -18,6 +19,7 @@ from mapf_collapse.reduction import reduce_independent_set
 from helpers import (
     agent_candidates,
     candidate_rows,
+    complete_graph,
     crowded_schedules,
     random_rollout_instance,
     reference_aba_prefilter,
@@ -150,53 +152,45 @@ def test_invalid_mode_rejected():
 
 def test_aba_oscillation_smoothed():
     s = schedule_from_paths([["A", "B", "A", "B", "A"]])
-    filtered, passes = aba_prefilter_detailed(s, moves=reference_moves(s))
+    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))
     assert filtered.agents[0].path == ("A", "A", "A", "A", "A")
     assert cost_moves(s) - cost_moves(filtered) == 4
-    assert passes == 2  # one rewriting pass plus the fixpoint check
 
 
 def test_aba_blocked_by_occupant():
     # the blocker passes through A without an ABA pattern of its own
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "D"]])
-    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))[0]
+    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))
     assert filtered.agents[0].path == ("A", "B", "A")
     assert filtered.agents[1].path == ("C", "A", "D")
 
 
 def test_aba_rewrite_unblocks_neighbor():
-    # removing the second agent's own oscillation frees A for the first
+    # the first agent's triple is blocked when the scan meets it; the
+    # second agent's rewrite then frees A, and the solve collapses it
     s = schedule_from_paths([["A", "B", "A"], ["C", "A", "C"]])
-    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))[0]
-    assert filtered.agents[0].path == ("A", "A", "A")
+    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))
+    assert filtered.agents[0].path == ("A", "B", "A")
     assert filtered.agents[1].path == ("C", "C", "C")
+    result = optimize_schedule(s, complete_graph(["A", "B", "C"]))
+    assert [ag.path for ag in result.schedule.agents] == [("A", "A", "A"), ("C", "C", "C")]
+    assert result.stats["saving"] == 4
 
 
 def test_aba_triple_removed_by_a_later_rewrite_stays_removed():
-    # A,B,A at step 1 is blocked in pass 1, then the rewrite of B,A,B at
-    # step 2 turns it into A,B,B; once the blocker leaves A in pass 1, it
-    # must not be rewritten in pass 2
+    # A,B,A at step 1 is blocked, then the rewrite of B,A,B at step 2
+    # turns it into A,B,B: a triple no longer, though the blocker leaves A
     s = schedule_from_paths([["A", "B", "A", "B"], ["C", "A", "C", "C"]])
-    filtered, passes = aba_prefilter_detailed(s, moves=reference_moves(s))
+    filtered = aba_prefilter_detailed(s, moves=reference_moves(s))
     assert filtered.agents[0].path == ("A", "B", "B", "B")
     assert filtered.agents[1].path == ("C", "C", "C", "C")
-    assert passes == 2
-    expected, expected_passes = reference_aba_prefilter(s)
-    assert (filtered, passes) == (expected, expected_passes)
+    assert filtered == reference_aba_prefilter(s)
+    assert aba_prefilter_detailed(filtered, moves=reference_moves(filtered)) == filtered
 
 
 def test_aba_constant_path_unchanged():
     s = schedule_from_paths([["A", "A", "A"]])
-    assert aba_prefilter_detailed(s, moves=reference_moves(s))[0].agents[0].path == ("A", "A", "A")
-
-
-def test_aba_respects_pass_cap():
-    path = ["v0", "v1"] * 8 + ["v0"]
-    s = schedule_from_paths([path])
-    capped, passes = aba_prefilter_detailed(s, max_passes=1, moves=reference_moves(s))
-    assert passes == 1
-    full, _ = aba_prefilter_detailed(s, moves=reference_moves(s))
-    assert cost_moves(full) <= cost_moves(capped)
+    assert aba_prefilter_detailed(s, moves=reference_moves(s)).agents[0].path == ("A", "A", "A")
 
 
 def test_aba_never_increases_cost_and_stays_valid():
@@ -205,7 +199,7 @@ def test_aba_never_increases_cost_and_stays_valid():
         s, g, _ = random_rollout_instance(rng, noise=0.6)
         report = validate(s, g, "relaxed")
         assert report.feasible
-        filtered = aba_prefilter_detailed(s, moves=report.moves)[0]
+        filtered = aba_prefilter_detailed(s, moves=report.moves)
         assert cost_moves(filtered) <= cost_moves(s)
         assert validate(filtered, g, "relaxed").feasible
 
@@ -216,5 +210,5 @@ def test_aba_preserves_strict_feasibility():
         s, g, _ = random_rollout_instance(rng, noise=0.4, horizon=16)
         if not validate(s, g, "strict").feasible:
             continue
-        filtered = aba_prefilter_detailed(s, moves=reference_moves(s))[0]
+        filtered = aba_prefilter_detailed(s, moves=reference_moves(s))
         assert validate(filtered, g, "strict").feasible

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import sys
 import threading
@@ -596,7 +597,7 @@ CROWDED_SEARCH_ZERO_BUDGET = [
 
 
 @pytest.mark.parametrize(
-    "budget, expected", [(None, CROWDED_SEARCH_UNLIMITED), (0.0, CROWDED_SEARCH_ZERO_BUDGET)]
+    "budget, expected", [(math.inf, CROWDED_SEARCH_UNLIMITED), (0.0, CROWDED_SEARCH_ZERO_BUDGET)]
 )
 def test_search_order_on_crowded_schedules_is_pinned(budget, expected):
     got = []

@@ -1,13 +1,26 @@
+import math
 import random
 
 import pytest
 
-from mapf_collapse import ConsistencyError, Graph, InfeasibleInputError, cost_moves, soc, validate
+from mapf_collapse import (
+    ConsistencyError,
+    Graph,
+    InfeasibleInputError,
+    build_model,
+    build_relations,
+    cost_moves,
+    generate_candidates,
+    soc,
+    solve_exact,
+    validate,
+)
 from mapf_collapse import pipeline
+from mapf_collapse.candidates import aba_prefilter_detailed
 from mapf_collapse.pipeline import OptimizeConfig, optimize_schedule, strip_timing
 from mapf_collapse.reduction import reduce_independent_set
 
-from helpers import complete_graph, random_rollout_instance, schedule_from_paths, single_edge_graph
+from helpers import complete_graph, random_rollout_instance, reference_moves, schedule_from_paths, single_edge_graph
 
 STATS_FIELDS = {
     "n_actions",
@@ -84,6 +97,43 @@ def test_saving_accounting_includes_filter():
         assert validate(result.schedule, g, "relaxed").feasible
 
 
+def test_one_prefilter_scan_saves_at_least_what_repeated_scans_save():
+    """The prefilter scans once and leaves a blocked triple to the solve.
+    Scanning its own output again until nothing changes, and then
+    solving, saves no more: a triple a later scan rewrites is a collapse
+    the solve can select. On oracle-scale rollouts the two never differ,
+    so hand-built ones are added, where another agent crosses A at a
+    triple's middle step and is rewritten off it later in the scan."""
+    g = complete_graph(["A", "B", "C", "D"])
+    cases = [
+        (schedule_from_paths([["A", "B", "A"], ["C", "A", "C"]]), g),
+        # a blocker of a blocker: repeated scans take three to rewrite all
+        (schedule_from_paths([["A", "B", "A"], ["C", "A", "C"], ["D", "C", "D"]]), g),
+        (schedule_from_paths([["A", "B", "A", "B"], ["C", "A", "C", "C"]]), g),
+    ]
+    rng = random.Random(907)
+    for i in range(500):
+        size = rng.choice([4, 5])
+        noise = (0.2, 0.4, 0.6)[i % 3]
+        s, rollout_graph, _ = random_rollout_instance(
+            rng, height=size, width=size, n_agents=rng.randint(2, 3), horizon=rng.randint(8, 12), noise=noise
+        )
+        cases.append((s, rollout_graph))
+    differ = 0
+    for s, graph in cases:
+        once = aba_prefilter_detailed(s, moves=reference_moves(s))
+        repeated = once
+        while (again := aba_prefilter_detailed(repeated, moves=reference_moves(repeated))) != repeated:
+            repeated = again
+        differ += repeated != once
+        cands = generate_candidates(repeated)
+        solution = solve_exact(build_model(build_relations(cands), cands), math.inf)
+        result = optimize_schedule(s, graph, OptimizeConfig(mode="relaxed"))
+        assert solution.optimal and result.stats["optimal"]
+        assert result.stats["saving"] >= cost_moves(s) - cost_moves(repeated) + solution.saving
+    assert differ
+
+
 def test_output_stats_equal_the_output_counted_from_its_paths():
     """cost_after and soc_after come from the input's moves and the rows
     apply_solution steps again; they are the output's, counted from its
@@ -138,7 +188,7 @@ def test_apply_check_is_anchored_on_the_input(monkeypatch):
 
     def colliding_prefilter(schedule, *, moves):
         # parks agent 0 on A at step 1, where agent 1 is
-        return schedule.with_paths({0: ("A", "A", "A")}), 1
+        return schedule.with_paths({0: ("A", "A", "A")})
 
     monkeypatch.setattr(pipeline, "aba_prefilter_detailed", colliding_prefilter)
     collision = r"first violation: Violation\(kind='vertex-collision', agents=\(0, 1\), timestep=1\)"
