@@ -139,6 +139,7 @@ def aba_prefilter_detailed(schedule: Schedule, *, moves: Sequence[list[int]]) ->
     rows: dict[int, list[str]] = {}
     for i, (ag, steps) in enumerate(zip(agents, moves)):
         p = ag.path
+        row = None
         rewrote = -1  # middle step of the agent's last rewrite
         for s, nxt in zip(steps, steps[1:]):
             t = s + 1
@@ -150,7 +151,6 @@ def aba_prefilter_detailed(schedule: Schedule, *, moves: Sequence[list[int]]) ->
                 column = columns[t] = [other.path[t] for other in agents]
             if a in column:
                 continue  # someone else sits at A right now
-            row = rows.get(i)
             if row is None:
                 row = rows[i] = list(p)
             column[i] = row[t] = a
